@@ -1,9 +1,9 @@
 /**
  * @file
  * Graceful-degradation audit campaign (DESIGN.md §13): 520 seeded
- * chaos scenarios across {disk, net, alloc} × {checkpoint, transport,
- * fabric, campaign}, each classified tolerated / degraded_retried /
- * clean_abort / contract_violation. The gate is absolute: zero
+ * chaos scenarios, 420 of disk chaos against the checkpoint writer and
+ * 100 of alloc chaos against a nested campaign, each classified
+ * tolerated / degraded_retried / clean_abort / contract_violation. The gate is absolute: zero
  * contract violations, every scenario job kOk, and the scenario count
  * at or above 500.
  *
@@ -37,10 +37,8 @@ struct Family
 };
 
 constexpr Family kFamilies[] = {
-    {"disk_checkpoint", 220, chaos_audit::auditCheckpointDisk},
-    {"net_transport", 160, chaos_audit::auditTransportNet},
-    {"net_fabric", 80, chaos_audit::auditFabricNet},
-    {"alloc_campaign", 60, chaos_audit::auditCampaignAlloc},
+    {"disk_checkpoint", 420, chaos_audit::auditCheckpointDisk},
+    {"alloc_campaign", 100, chaos_audit::auditCampaignAlloc},
 };
 
 } // namespace

@@ -11,7 +11,7 @@
  * elision and shows the detection profiles match.
  *
  * The per-profile (base, elided) timing pairs execute as one campaign
- * on the work-stealing pool (AOS_CAMPAIGN_JOBS workers); the attack
+ * on the thread pool (AOS_CAMPAIGN_JOBS workers); the attack
  * parity replay below stays serial — it is functional, not timed.
  *
  * Build & run:  ./build/bench/elision_ablation

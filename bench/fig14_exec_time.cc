@@ -8,7 +8,7 @@
  * over AOS; milc/namd/gobmk/astar marginally below 1.0 under AOS.
  *
  * The 80 (profile × mechanism) runs execute as one campaign on the
- * work-stealing pool; per-config results are bit-identical whatever
+ * thread pool; per-config results are bit-identical whatever
  * AOS_CAMPAIGN_JOBS is set to (see DESIGN.md §7).
  */
 

@@ -5,7 +5,7 @@
  * Every harness runs standalone with sensible defaults; the simulated
  * window can be scaled with environment variables:
  *
- *   AOS_SIM_OPS       measured micro-ops per timing run (default 400k)
+ *   AOS_SIM_OPS       measured micro-ops per timing run (default 1M)
  *   AOS_REPLAY_SCALE  divisor for full allocation replays (default 1)
  *
  * Campaign-based harnesses additionally honour:
@@ -20,19 +20,10 @@
  *   AOS_CAMPAIGN_RESUME    checkpoint directory: completed jobs are
  *                          durably logged there, and a rerun restores
  *                          them instead of re-executing (DESIGN.md §10)
- *   AOS_FABRIC_WORKERS     distribute the campaign over N spawned
- *                          worker processes (DESIGN.md §12)
- *   AOS_FABRIC_LISTEN      also accept remote workers at
- *                          "unix:<path>" / "tcp:<host>:<port>"
- *   AOS_FABRIC_CONNECT     run as a remote worker serving the
- *                          coordinator at this address
- *   AOS_FABRIC_HEARTBEAT_GRACE
- *                          heartbeat-silence multiples before the
- *                          coordinator evicts a worker (default 10)
  *   AOS_CHAOS              "<seed>,<rate‰>,<domains>[,<cap>]" installs
  *                          the deterministic environment-fault engine
  *                          (common/chaosio.hh, DESIGN.md §13);
- *                          domains are '+'-joined from disk/net/alloc/all
+ *                          domains are '+'-joined from disk/alloc/all
  *
  * Numeric knobs are parsed strictly (common/env.hh): a typo is a fatal
  * diagnostic naming the variable, never a silently-ignored override.
@@ -108,21 +99,7 @@ campaignOptions(const std::string &name)
     options.workers = campaign::workersFromEnv(0);
     options.progress = envFlag("AOS_CAMPAIGN_PROGRESS", true);
     options.checkpointDir = envString("AOS_CAMPAIGN_RESUME");
-    // Distributed fabric (DESIGN.md §12): AOS_FABRIC_WORKERS=N spawns N
-    // worker processes, AOS_FABRIC_LISTEN admits remote ones, and
-    // AOS_FABRIC_WORKER (spawned children) / AOS_FABRIC_CONNECT
-    // (manually started workers) turns this process into a worker.
-    options.fabricWorkers = envUnsigned("AOS_FABRIC_WORKERS", 0);
-    options.fabricListen = envString("AOS_FABRIC_LISTEN");
-    options.fabricConnect = envString("AOS_FABRIC_WORKER");
-    if (options.fabricConnect.empty())
-        options.fabricConnect = envString("AOS_FABRIC_CONNECT");
-    options.fabricHeartbeatGrace =
-        envUnsigned("AOS_FABRIC_HEARTBEAT_GRACE", 10);
-    // AOS_CHAOS installs the process-global environment-fault engine;
-    // spawned fabric workers inherit the variable (childEnv scrubs
-    // only fabric/campaign routing), so a chaos campaign stays chaotic
-    // across process boundaries with per-process schedules.
+    // AOS_CHAOS installs the process-global environment-fault engine.
     chaos::installChaosFromEnv();
     // Graceful shutdown: SIGINT/SIGTERM trips the process token; the
     // campaign preempts running jobs at their next cancellation point,

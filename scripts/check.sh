@@ -6,11 +6,10 @@
 # (graceful-degradation audit under sanitizers), bounds-elision
 # ablation (obligation gates + jobs parity), simulator-throughput
 # regression guard, crash-resume check (SIGKILL mid-campaign +
-# AOS_CAMPAIGN_RESUME byte parity), distributed-fabric check (worker
-# processes via AOS_FABRIC_WORKERS, worker/coordinator SIGKILL,
-# resume + byte parity), chaos-engine check (deterministic AOS_CHAOS
-# fault injection with byte parity + the graceful-degradation audit),
-# and clang-tidy lint. Run from the repository root:
+# AOS_CAMPAIGN_RESUME byte parity), chaos-engine check (deterministic
+# AOS_CHAOS fault injection with byte parity + the graceful-degradation
+# audit), clang-tidy lint and the multi-tenant scheduler audit. Run
+# from the repository root:
 #
 #   scripts/check.sh              # everything
 #   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip the ASan pass
@@ -25,18 +24,18 @@ cd "$(dirname "$0")/.."
 
 JOBS="${AOS_CHECK_JOBS:-$(nproc)}"
 
-echo "== [1/13] default build =="
+echo "== [1/12] default build =="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 
-echo "== [2/13] tier-1 tests =="
+echo "== [2/12] tier-1 tests =="
 ctest --preset default -j "${JOBS}"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [3/13] sanitizer build + fast tests (ASan+UBSan) =="
+    echo "== [3/12] sanitizer build + fast tests (ASan+UBSan) =="
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
@@ -46,11 +45,11 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
-    echo "== [3/13] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [3/12] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [4/13] thread-sanitizer pass (TSan) =="
+    echo "== [4/12] thread-sanitizer pass (TSan) =="
     # The campaign worker pool, checkpoint writer and logging sinks are
     # the only concurrent subsystems: build exactly what exercises
     # them, run their suites, then drive a jobs=4 campaign end to end
@@ -71,7 +70,7 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/tsan-smoke.json"
     echo "tsan: concurrency suites OK"
 else
-    echo "== [4/13] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [4/12] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 # Strip the timing-only fields (each JSON member is on its own line)
@@ -86,7 +85,7 @@ json_parity() {
     fi
 }
 
-echo "== [5/13] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
+echo "== [5/12] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/serial.json" ./build/bench/campaign_smoke
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
@@ -97,7 +96,7 @@ json_parity "${SMOKE_DIR}/serial.json" "${SMOKE_DIR}/parallel.json" \
     "campaign smoke"
 echo "campaign smoke: parity OK"
 
-echo "== [6/13] fault-matrix smoke (DESIGN.md §8 audit) =="
+echo "== [6/12] fault-matrix smoke (DESIGN.md §8 audit) =="
 # Run the graceful-degradation audit under the sanitizer build when
 # available — injected corruption must be UB-free, not just survivable.
 FAULT_BIN=./build/bench/fault_matrix
@@ -113,7 +112,7 @@ json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
     "fault matrix"
 echo "fault matrix: audit + parity OK"
 
-echo "== [7/13] bounds-elision ablation (obligation gates + parity) =="
+echo "== [7/12] bounds-elision ablation (obligation gates + parity) =="
 # The benchmark itself exits non-zero if any ObligationChecker gate
 # fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
 # the determinism contract on top.
@@ -128,7 +127,7 @@ json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
     "bounds elision"
 echo "bounds elision: gates + parity OK"
 
-echo "== [8/13] simulator throughput guard =="
+echo "== [8/12] simulator throughput guard =="
 # Smoke-mode run of the host-throughput benchmark against the
 # checked-in baseline: the per-mechanism ops/sec geomeans may not drop
 # more than the guard band below scripts/throughput_baseline.json
@@ -171,7 +170,7 @@ done
 [ "${THROUGHPUT_GUARD_OK}" = "1" ] || exit 1
 echo "throughput guard: OK"
 
-echo "== [9/13] crash-resume (SIGKILL mid-campaign, resume, parity) =="
+echo "== [9/12] crash-resume (SIGKILL mid-campaign, resume, parity) =="
 # Kill a checkpointed campaign once its first record is durable, resume
 # it with AOS_CAMPAIGN_RESUME, and require the canonical JSON to be
 # byte-identical to an uninterrupted run (DESIGN.md §10).
@@ -226,117 +225,7 @@ resume_check fig14 ./build/bench/fig14_exec_time 4 20000
 resume_check fault_matrix "${FAULT_BIN}" 4 20000
 resume_check sim_throughput ./build/bench/sim_throughput 4 20000
 
-echo "== [10/13] distributed fabric (worker processes, kill, resume) =="
-# The campaign fabric (DESIGN.md §12): the same benches distributed
-# over 4 spawned worker processes must emit canonical JSON
-# byte-identical to the serial run, a SIGKILLed worker must only cost
-# a reassignment, and a SIGKILLed *coordinator* must resume through
-# AOS_CAMPAIGN_RESUME to the same bytes.
-FABRIC_DIR="${SMOKE_DIR}/fabric"
-mkdir -p "${FABRIC_DIR}"
-
-# Serial references (canonical emission).
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/smoke-serial.json" \
-    ./build/bench/campaign_smoke > /dev/null
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/fault-serial.json" \
-    ./build/bench/fault_matrix > /dev/null
-
-# 4-worker fabric run: byte parity with the serial reference.
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_FABRIC_WORKERS=4 \
-    AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/smoke-fabric.json" \
-    ./build/bench/campaign_smoke > /dev/null
-if ! cmp -s "${FABRIC_DIR}/smoke-serial.json" \
-            "${FABRIC_DIR}/smoke-fabric.json"; then
-    echo "fabric: campaign_smoke serial/distributed parity FAILED" >&2
-    diff "${FABRIC_DIR}/smoke-serial.json" \
-         "${FABRIC_DIR}/smoke-fabric.json" | head -40 >&2 || true
-    exit 1
-fi
-echo "  campaign_smoke: 4-worker fabric parity OK"
-
-# SIGKILL one worker process mid-campaign: the coordinator must
-# reassign its job and still reproduce the reference bytes.
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_FABRIC_WORKERS=4 \
-    AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/fault-killworker.json" \
-    ./build/bench/fault_matrix > /dev/null 2>&1 &
-FABRIC_PID=$!
-for _ in $(seq 1 100); do
-    FABRIC_KID="$(pgrep -P "${FABRIC_PID}" | head -1 || true)"
-    [ -n "${FABRIC_KID}" ] && break
-    kill -0 "${FABRIC_PID}" 2>/dev/null || break
-    sleep 0.05
-done
-sleep 0.3 # Let the victim pick up an assignment first.
-[ -n "${FABRIC_KID:-}" ] && kill -9 "${FABRIC_KID}" 2>/dev/null || true
-wait "${FABRIC_PID}"
-if ! cmp -s "${FABRIC_DIR}/fault-serial.json" \
-            "${FABRIC_DIR}/fault-killworker.json"; then
-    echo "fabric: worker-SIGKILL parity FAILED" >&2
-    exit 1
-fi
-echo "  fault_matrix: worker-SIGKILL reassignment parity OK"
-
-# SIGKILL the coordinator once a shard holds a record, then resume the
-# fabric run from the checkpoint: same bytes, no re-execution of the
-# durable jobs.
-FABRIC_CKPT="${FABRIC_DIR}/ckpt"
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_FABRIC_WORKERS=4 \
-    AOS_CAMPAIGN_JSON=off AOS_CAMPAIGN_RESUME="${FABRIC_CKPT}" \
-    ./build/bench/fault_matrix > /dev/null 2>&1 &
-FABRIC_PID=$!
-for _ in $(seq 1 600); do
-    if [ -n "$(find "${FABRIC_CKPT}" -name 'shard-*.log' -size +0c \
-               2>/dev/null)" ]; then
-        break
-    fi
-    kill -0 "${FABRIC_PID}" 2>/dev/null || break
-    sleep 0.05
-done
-kill -9 "${FABRIC_PID}" 2>/dev/null || true
-wait "${FABRIC_PID}" 2>/dev/null || true
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_FABRIC_WORKERS=4 \
-    AOS_CAMPAIGN_JSON=off AOS_CAMPAIGN_RESUME="${FABRIC_CKPT}" \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/fault-resumed.json" \
-    ./build/bench/fault_matrix > "${FABRIC_DIR}/fault-resumed.log"
-if ! cmp -s "${FABRIC_DIR}/fault-serial.json" \
-            "${FABRIC_DIR}/fault-resumed.json"; then
-    echo "fabric: coordinator-SIGKILL resume parity FAILED" >&2
-    diff "${FABRIC_DIR}/fault-serial.json" \
-         "${FABRIC_DIR}/fault-resumed.json" | head -40 >&2 || true
-    exit 1
-fi
-if ! grep -q 'resumed' "${FABRIC_DIR}/fault-resumed.log"; then
-    echo "fabric: resumed coordinator reported no restored jobs" >&2
-    exit 1
-fi
-echo "  fault_matrix: coordinator-SIGKILL fabric resume parity OK"
-
-# Re-run against the now-COMPLETE checkpoint with workers requested:
-# nothing is pending, so no worker may be spawned and the coordinator
-# must exit promptly instead of deadlocking on a child that is blocked
-# waiting for a WELCOME (regression: wind-down listener drain).
-if ! timeout 120 env AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 \
-    AOS_FABRIC_WORKERS=4 AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_RESUME="${FABRIC_CKPT}" \
-    AOS_CAMPAIGN_JSON_CANONICAL="${FABRIC_DIR}/fault-complete.json" \
-    ./build/bench/fault_matrix > /dev/null; then
-    echo "fabric: complete-checkpoint fabric re-run hung or failed" >&2
-    exit 1
-fi
-if ! cmp -s "${FABRIC_DIR}/fault-serial.json" \
-            "${FABRIC_DIR}/fault-complete.json"; then
-    echo "fabric: complete-checkpoint re-run parity FAILED" >&2
-    exit 1
-fi
-echo "  fault_matrix: complete-checkpoint fabric re-run exits clean OK"
-
-echo "== [11/13] chaos engine (fault injection + degradation audit) =="
+echo "== [10/12] chaos engine (fault injection + degradation audit) =="
 # DESIGN.md §13: under a fixed AOS_CHAOS schedule every subsystem must
 # either absorb the injected environment faults (retry/backoff) or
 # abort cleanly — and whenever a campaign reports success its canonical
@@ -345,39 +234,28 @@ echo "== [11/13] chaos engine (fault injection + degradation audit) =="
 CHAOS_DIR="${SMOKE_DIR}/chaos"
 mkdir -p "${CHAOS_DIR}"
 
+# Chaos-free serial reference (canonical emission).
+AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
+    AOS_CAMPAIGN_JSON=off \
+    AOS_CAMPAIGN_JSON_CANONICAL="${CHAOS_DIR}/smoke-serial.json" \
+    ./build/bench/campaign_smoke > /dev/null
+
 # Checkpointed campaign under disk chaos (torn appends, failed fsyncs,
 # ENOSPC): the retry-with-truncation discipline must reproduce the
-# stage-10 serial reference bytes.
+# serial reference bytes.
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
     AOS_CHAOS="1337,12,disk" \
     AOS_CAMPAIGN_RESUME="${CHAOS_DIR}/ckpt" AOS_CAMPAIGN_JSON=off \
     AOS_CAMPAIGN_JSON_CANONICAL="${CHAOS_DIR}/smoke-chaos.json" \
     ./build/bench/campaign_smoke > /dev/null
-if ! cmp -s "${FABRIC_DIR}/smoke-serial.json" \
+if ! cmp -s "${CHAOS_DIR}/smoke-serial.json" \
             "${CHAOS_DIR}/smoke-chaos.json"; then
     echo "chaos: campaign_smoke disk-chaos parity FAILED" >&2
-    diff "${FABRIC_DIR}/smoke-serial.json" \
+    diff "${CHAOS_DIR}/smoke-serial.json" \
          "${CHAOS_DIR}/smoke-chaos.json" | head -40 >&2 || true
     exit 1
 fi
 echo "  campaign_smoke: disk-chaos checkpointed parity OK"
-
-# Distributed fabric under disk+net chaos (resets, flips, partial
-# transfers): poisoned links cost evictions and respawns, never wrong
-# bytes. The tightened heartbeat grace bounds eviction latency.
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_FABRIC_WORKERS=4 \
-    AOS_FABRIC_HEARTBEAT_GRACE=2 AOS_CHAOS="4242,8,disk+net" \
-    AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${CHAOS_DIR}/fault-chaos.json" \
-    ./build/bench/fault_matrix > /dev/null
-if ! cmp -s "${FABRIC_DIR}/fault-serial.json" \
-            "${CHAOS_DIR}/fault-chaos.json"; then
-    echo "chaos: fault_matrix fabric disk+net chaos parity FAILED" >&2
-    diff "${FABRIC_DIR}/fault-serial.json" \
-         "${CHAOS_DIR}/fault-chaos.json" | head -40 >&2 || true
-    exit 1
-fi
-echo "  fault_matrix: 4-worker fabric disk+net chaos parity OK"
 
 # The graceful-degradation audit itself: >= 500 scenarios, zero
 # contract violations, and its own canonical JSON must not depend on
@@ -396,10 +274,10 @@ if ! cmp -s "${CHAOS_DIR}/audit1.json" "${CHAOS_DIR}/auditN.json"; then
 fi
 echo "  chaos_audit: degradation audit + parity OK"
 
-echo "== [12/13] lint =="
+echo "== [11/12] lint =="
 cmake --build --preset default --target lint
 
-echo "== [13/13] multi-tenant scheduler (isolation audit + parity) =="
+echo "== [12/12] multi-tenant scheduler (isolation audit + parity) =="
 # DESIGN.md §15: the tenant_matrix harness itself exits non-zero unless
 # the cross-tenant isolation audit holds over >= 500 scenarios (zero
 # fingerprint mismatches, zero unprovoked violations, zero

@@ -10,12 +10,10 @@
 #include <thread>
 
 #include "campaign/checkpoint.hh"
-#include "campaign/fabric/fabric.hh"
 #include "campaign/json.hh"
 #include "common/chaosio.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/mpmc_ring.hh"
 #include "common/profiler.hh"
 
 namespace aos::campaign {
@@ -47,220 +45,17 @@ executeJob(const Job &job, const CancelToken &cancel)
     return system.run();
 }
 
-} // namespace
-
-const char *
-jobStatusName(JobStatus status)
-{
-    switch (status) {
-      case JobStatus::kPending: return "pending";
-      case JobStatus::kOk: return "ok";
-      case JobStatus::kFailed: return "failed";
-      case JobStatus::kTimeout: return "timeout";
-      case JobStatus::kCancelled: return "cancelled";
-    }
-    return "unknown";
-}
-
-const char *
-reduceOpName(ReduceOp op)
-{
-    switch (op) {
-      case ReduceOp::kGeomean: return "geomean";
-      case ReduceOp::kSum: return "sum";
-      case ReduceOp::kMax: return "max";
-      case ReduceOp::kMin: return "min";
-      case ReduceOp::kMean: return "mean";
-    }
-    return "unknown";
-}
-
-Campaign::Campaign(CampaignOptions options) : _options(std::move(options))
-{
-}
-
-u32
-Campaign::add(Job job)
-{
-    if (job.name.empty()) {
-        job.name = job.profile.name.empty()
-                       ? csprintf("job%zu", _jobs.size())
-                       : job.profile.name + "/" +
-                             baselines::mechanismName(job.mech);
-    }
-    _jobs.push_back(std::move(job));
-    return static_cast<u32>(_jobs.size() - 1);
-}
-
-u32
-Campaign::addConfig(const workloads::WorkloadProfile &profile,
-                    baselines::Mechanism mech, u64 ops,
-                    const baselines::SystemOptions &base, u64 seed)
-{
-    Job job;
-    job.profile = profile;
-    job.mech = mech;
-    job.options = base;
-    job.ops = ops;
-    job.seed = seed;
-    return add(std::move(job));
-}
-
+/**
+ * Run @p job (id @p idx) through the full attempt loop: retry to
+ * @p maxAttempts, cooperative timeout classification, and shutdown
+ * preemption via a per-attempt token chained to @p parent.
+ */
 void
-Campaign::addReducer(Reducer reducer)
-{
-    _reducers.push_back(std::move(reducer));
-}
-
-CampaignResult
-Campaign::run()
-{
-    // Fabric dispatch (DESIGN.md §12). Worker mode first: a spawned or
-    // remote worker serves the coordinator's campaign and exits inside
-    // serveAsWorker(); it only returns when the coordinator is running
-    // a *different* campaign (identity mismatch), in which case this
-    // campaign executes locally so multi-campaign harnesses advance to
-    // the one the coordinator is actually distributing.
-    if (!_options.fabricConnect.empty()) {
-        fabric::serveAsWorker(_options, _jobs);
-        warn("campaign %s: fabric coordinator at %s runs a different "
-             "campaign; executing locally",
-             _options.name.c_str(), _options.fabricConnect.c_str());
-    } else if (_options.fabricWorkers > 0 ||
-               !_options.fabricListen.empty()) {
-        return fabric::runCoordinator(_options, _jobs, _reducers);
-    }
-    return runLocal();
-}
-
-CampaignResult
-Campaign::runLocal()
-{
-    const size_t total = _jobs.size();
-    unsigned workers =
-        _options.workers ? _options.workers
-                         : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<unsigned>(
-        std::min<size_t>(workers, std::max<size_t>(total, 1)));
-
-    CampaignResult result;
-    result.name = _options.name;
-    result.workers = workers;
-    result.maxAttempts = std::max(1u, _options.maxAttempts);
-    result.timeoutSec = _options.timeoutSec;
-    result.checkpointDir = _options.checkpointDir;
-    result.jobs.resize(total);
-
-    // Checkpoint restore: validate the directory against this exact
-    // campaign, adopt every intact record, and arrange for the rest to
-    // execute. A foreign/corrupt manifest means a full re-run — never
-    // a mix of stale and fresh results.
-    CheckpointWriter writer;
-    const bool checkpointing =
-        setupCheckpoint(_options, _jobs, workers, result, writer);
-
-    const Clock::time_point start = Clock::now();
-    std::atomic<u32> completed{result.resumedJobs};
-    std::atomic<u32> executed{0};
-    std::mutex progressMutex;
-    Clock::time_point lastReport = start;
-
-    auto reportProgress = [&](u32 done) {
-        if (!_options.progress)
-            return;
-        std::lock_guard<std::mutex> guard(progressMutex);
-        const Clock::time_point now = Clock::now();
-        if (done < total &&
-            secondsSince(lastReport, now) < _options.progressIntervalSec) {
-            return;
-        }
-        lastReport = now;
-        const double elapsed = secondsSince(start, now);
-        const double eta =
-            done ? elapsed / done * static_cast<double>(total - done) : 0.0;
-        progressf("campaign %s: %u/%zu jobs (%.0f%%), elapsed %.1fs, "
-                  "eta %.1fs",
-                  _options.name.c_str(), done, total,
-                  total ? 100.0 * done / static_cast<double>(total) : 100.0,
-                  elapsed, eta);
-    };
-
-    auto runOne = [&](unsigned self, u32 idx) {
-        JobResult &r = result.jobs[idx];
-        executeJobAttempts(_jobs, idx, r, result.maxAttempts,
-                           result.timeoutSec, _options.cancel,
-                           _options.name);
-        if (r.status == JobStatus::kCancelled)
-            return;
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (checkpointing && !writer.append(self, r)) {
-            warn("campaign %s: checkpoint append failed for job %s",
-                 _options.name.c_str(), r.name.c_str());
-        }
-        reportProgress(completed.fetch_add(1, std::memory_order_relaxed) +
-                       1);
-    };
-
-    // One shared bounded MPMC ring (common/mpmc_ring.hh) feeds all
-    // workers. Jobs are whole simulations, so per-worker locality never
-    // mattered; what does matter is that nothing blocks and nothing is
-    // lost or duplicated — the ring's CAS discipline guarantees that,
-    // and AOS_CAMPAIGN_RING_MUTEX swaps in the mutex fallback for
-    // cross-checking. All jobs are enqueued up front (no job creates
-    // further jobs), so an empty ring means a worker may retire.
-    MpmcRing<u32> ring(std::max<size_t>(total, 1),
-                       envFlag("AOS_CAMPAIGN_RING_MUTEX", false));
-    for (size_t i = 0; i < total; ++i) {
-        if (result.jobs[i].status == JobStatus::kPending) {
-            const bool pushed = ring.tryPush(static_cast<u32>(i));
-            panic_if(!pushed, "campaign work ring rejected job %zu "
-                     "(capacity %zu)", i, ring.capacity());
-        }
-    }
-
-    auto shutdown = [&]() {
-        return _options.cancel && _options.cancel->cancelled();
-    };
-
-    auto workerLoop = [&](unsigned self) {
-        u32 idx;
-        for (;;) {
-            if (shutdown())
-                return; // Queued jobs stay pending for the resume.
-            if (!ring.tryPop(idx))
-                return;
-            runOne(self, idx);
-        }
-    };
-
-    if (workers <= 1) {
-        workerLoop(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop, w);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    writer.close();
-    result.executedJobs = executed.load(std::memory_order_relaxed);
-    result.interrupted =
-        shutdown() || result.count(JobStatus::kCancelled) > 0 ||
-        result.count(JobStatus::kPending) > 0;
-    result.totalWallMs = 1e3 * secondsSince(start, Clock::now());
-    detail::mergeAndReduce(result, _reducers);
-    return result;
-}
-
-void
-executeJobAttempts(const std::vector<Job> &jobs, u32 idx, JobResult &r,
+executeJobAttempts(const Job &job, u32 idx, JobResult &r,
                    unsigned maxAttempts, double timeoutSec,
                    const CancelToken *parent,
                    const std::string &campaignName)
 {
-    const Job &job = jobs[idx];
     r.id = idx;
     r.name = job.name;
     r.profile = job.profile.name;
@@ -333,8 +128,8 @@ executeJobAttempts(const std::vector<Job> &jobs, u32 idx, JobResult &r,
     }
 }
 
-namespace detail {
-
+/** Fold ok-job stats into result.merged, run the reducers, and attach
+ *  the AOS_PROFILE breakdown if enabled. */
 void
 mergeAndReduce(CampaignResult &result, const std::vector<Reducer> &reducers)
 {
@@ -347,7 +142,179 @@ mergeAndReduce(CampaignResult &result, const std::vector<Reducer> &reducers)
         prof::addTo(result.profile);
 }
 
-} // namespace detail
+} // namespace
+
+const char *
+jobStatusName(JobStatus status)
+{
+    switch (status) {
+      case JobStatus::kPending: return "pending";
+      case JobStatus::kOk: return "ok";
+      case JobStatus::kFailed: return "failed";
+      case JobStatus::kTimeout: return "timeout";
+      case JobStatus::kCancelled: return "cancelled";
+    }
+    return "unknown";
+}
+
+const char *
+reduceOpName(ReduceOp op)
+{
+    switch (op) {
+      case ReduceOp::kGeomean: return "geomean";
+      case ReduceOp::kSum: return "sum";
+      case ReduceOp::kMax: return "max";
+      case ReduceOp::kMin: return "min";
+      case ReduceOp::kMean: return "mean";
+    }
+    return "unknown";
+}
+
+Campaign::Campaign(CampaignOptions options) : _options(std::move(options))
+{
+}
+
+u32
+Campaign::add(Job job)
+{
+    if (job.name.empty()) {
+        job.name = job.profile.name.empty()
+                       ? csprintf("job%zu", _jobs.size())
+                       : job.profile.name + "/" +
+                             baselines::mechanismName(job.mech);
+    }
+    _jobs.push_back(std::move(job));
+    return static_cast<u32>(_jobs.size() - 1);
+}
+
+u32
+Campaign::addConfig(const workloads::WorkloadProfile &profile,
+                    baselines::Mechanism mech, u64 ops,
+                    const baselines::SystemOptions &base, u64 seed)
+{
+    Job job;
+    job.profile = profile;
+    job.mech = mech;
+    job.options = base;
+    job.ops = ops;
+    job.seed = seed;
+    return add(std::move(job));
+}
+
+void
+Campaign::addReducer(Reducer reducer)
+{
+    _reducers.push_back(std::move(reducer));
+}
+
+CampaignResult
+Campaign::run()
+{
+    const size_t total = _jobs.size();
+    unsigned workers =
+        _options.workers ? _options.workers
+                         : std::max(1u, std::thread::hardware_concurrency());
+    workers = static_cast<unsigned>(
+        std::min<size_t>(workers, std::max<size_t>(total, 1)));
+
+    CampaignResult result;
+    result.name = _options.name;
+    result.workers = workers;
+    result.maxAttempts = std::max(1u, _options.maxAttempts);
+    result.timeoutSec = _options.timeoutSec;
+    result.checkpointDir = _options.checkpointDir;
+    result.jobs.resize(total);
+
+    // Checkpoint restore: validate the directory against this exact
+    // campaign, adopt every intact record, and arrange for the rest to
+    // execute. A foreign/corrupt manifest means a full re-run — never
+    // a mix of stale and fresh results.
+    CheckpointWriter writer;
+    const bool checkpointing =
+        setupCheckpoint(_options, _jobs, workers, result, writer);
+
+    const Clock::time_point start = Clock::now();
+    std::atomic<u32> completed{result.resumedJobs};
+    std::atomic<u32> executed{0};
+    std::mutex progressMutex;
+    Clock::time_point lastReport = start;
+
+    auto reportProgress = [&](u32 done) {
+        if (!_options.progress)
+            return;
+        std::lock_guard<std::mutex> guard(progressMutex);
+        const Clock::time_point now = Clock::now();
+        if (done < total &&
+            secondsSince(lastReport, now) < _options.progressIntervalSec) {
+            return;
+        }
+        lastReport = now;
+        const double elapsed = secondsSince(start, now);
+        const double eta =
+            done ? elapsed / done * static_cast<double>(total - done) : 0.0;
+        progressf("campaign %s: %u/%zu jobs (%.0f%%), elapsed %.1fs, "
+                  "eta %.1fs",
+                  _options.name.c_str(), done, total,
+                  total ? 100.0 * done / static_cast<double>(total) : 100.0,
+                  elapsed, eta);
+    };
+
+    auto runOne = [&](unsigned self, u32 idx) {
+        JobResult &r = result.jobs[idx];
+        executeJobAttempts(_jobs[idx], idx, r, result.maxAttempts,
+                           result.timeoutSec, _options.cancel,
+                           _options.name);
+        if (r.status == JobStatus::kCancelled)
+            return;
+        executed.fetch_add(1, std::memory_order_relaxed);
+        if (checkpointing && !writer.append(self, r)) {
+            warn("campaign %s: checkpoint append failed for job %s",
+                 _options.name.c_str(), r.name.c_str());
+        }
+        reportProgress(completed.fetch_add(1, std::memory_order_relaxed) +
+                       1);
+    };
+
+    auto shutdown = [&]() {
+        return _options.cancel && _options.cancel->cancelled();
+    };
+
+    // Every job is known up front and none creates further jobs, so
+    // one shared cursor is the whole work queue: each worker claims
+    // the next index in submission order and skips jobs the checkpoint
+    // already restored.
+    std::atomic<size_t> cursor{0};
+    auto workerLoop = [&](unsigned self) {
+        // On shutdown, unclaimed jobs stay pending for the resume.
+        while (!shutdown()) {
+            const size_t idx = cursor.fetch_add(1);
+            if (idx >= total)
+                return;
+            if (result.jobs[idx].status == JobStatus::kPending)
+                runOne(self, static_cast<u32>(idx));
+        }
+    };
+
+    if (workers <= 1) {
+        workerLoop(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(workerLoop, w);
+        for (auto &t : pool)
+            t.join();
+    }
+
+    writer.close();
+    result.executedJobs = executed.load(std::memory_order_relaxed);
+    result.interrupted =
+        shutdown() || result.count(JobStatus::kCancelled) > 0 ||
+        result.count(JobStatus::kPending) > 0;
+    result.totalWallMs = 1e3 * secondsSince(start, Clock::now());
+    mergeAndReduce(result, _reducers);
+    return result;
+}
 
 void
 computeReducers(CampaignResult &result, const std::vector<Reducer> &reducers)

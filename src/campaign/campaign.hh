@@ -2,7 +2,8 @@
  * @file
  * Experiment-campaign engine: turns a declarative list of independent
  * simulation jobs (workload profile × mechanism × options × seed) into
- * results via a work-stealing thread pool.
+ * results via an in-process thread pool: the workers claim job indices
+ * from one shared atomic cursor, in submission order.
  *
  * Contracts (see DESIGN.md §7):
  *
@@ -158,47 +159,6 @@ struct CampaignOptions
      * CampaignResult::interrupted is set.
      */
     const CancelToken *cancel = nullptr;
-
-    // --- distributed fabric knobs (campaign/fabric, DESIGN.md §12).
-    // All execution-only: none of them enter the checkpoint identity
-    // hash, so a fabric run resumes a serial checkpoint and vice versa.
-
-    /**
-     * Spawn this many local worker *processes* (fork/exec of the same
-     * binary with AOS_FABRIC_WORKER set) and run the campaign through
-     * the fabric coordinator instead of the intra-process pool.
-     * Usually from AOS_FABRIC_WORKERS.
-     */
-    unsigned fabricWorkers = 0;
-
-    /**
-     * Additionally accept remote workers at this address ("unix:<path>"
-     * or "tcp:<host>:<port>"); implies coordinator mode even with
-     * fabricWorkers == 0. Usually from AOS_FABRIC_LISTEN.
-     */
-    std::string fabricListen;
-
-    /**
-     * Worker mode: serve jobs to the coordinator at this address
-     * instead of executing the campaign. Set from AOS_FABRIC_WORKER
-     * (spawned children) or AOS_FABRIC_CONNECT (manually started
-     * remote workers). On successful service the process exits inside
-     * Campaign::run(); on a campaign-identity mismatch the campaign
-     * falls back to local execution so multi-campaign harnesses still
-     * make progress.
-     */
-    std::string fabricConnect;
-
-    /** Worker HEARTBEAT cadence (liveness + progress aggregation). */
-    double fabricHeartbeatSec = 1.0;
-
-    /**
-     * Heartbeat-silence multiples before the coordinator declares a
-     * worker dead and requeues its assignment (AOS_FABRIC_HEARTBEAT_
-     * GRACE). Execution-scheduling only — never part of the campaign
-     * identity hash, so tuning it does not invalidate checkpoints.
-     */
-    unsigned fabricHeartbeatGrace = 10;
 };
 
 struct CampaignResult
@@ -264,17 +224,15 @@ class Campaign
     const std::vector<Reducer> &reducers() const { return _reducers; }
 
     /**
-     * Execute every queued job; blocks until the sweep finishes.
-     * Dispatches on the fabric knobs: worker mode serves a coordinator
-     * and exits, coordinator mode distributes over worker processes,
-     * and otherwise the intra-process MPMC-ring pool runs the jobs.
-     * All three produce byte-identical canonical JSON.
+     * Execute every queued job on the thread pool; blocks until the
+     * sweep finishes. Workers claim jobs through one atomic cursor in
+     * submission order, skipping jobs restored from a checkpoint. Each
+     * job is a pure function of its spec, so the canonical JSON is
+     * byte-identical at any worker count.
      */
     CampaignResult run();
 
   private:
-    CampaignResult runLocal();
-
     CampaignOptions _options;
     std::vector<Job> _jobs;
     std::vector<Reducer> _reducers;
@@ -294,28 +252,6 @@ void computeReducers(CampaignResult &result,
  * (common/env.hh), never silently ignored.
  */
 unsigned workersFromEnv(unsigned fallback = 0);
-
-/**
- * Run job @p idx of @p jobs through the full attempt loop — retry to
- * @p maxAttempts, cooperative timeout classification, shutdown
- * preemption via a per-attempt token chained to @p parent — filling
- * @p r exactly as the intra-process pool would. Shared by the thread
- * pool, the fabric worker processes and the coordinator's inline
- * fallback, which is what keeps all execution paths byte-identical.
- */
-void executeJobAttempts(const std::vector<Job> &jobs, u32 idx,
-                        JobResult &r, unsigned maxAttempts,
-                        double timeoutSec, const CancelToken *parent,
-                        const std::string &campaignName);
-
-namespace detail {
-
-/** Shared result epilogue: fold ok-job stats into result.merged, run
- *  the reducers, and attach the AOS_PROFILE breakdown if enabled. */
-void mergeAndReduce(CampaignResult &result,
-                    const std::vector<Reducer> &reducers);
-
-} // namespace detail
 
 } // namespace aos::campaign
 

@@ -1,13 +1,10 @@
 #include "campaign/chaos_audit.hh"
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "campaign/campaign.hh"
@@ -15,7 +12,6 @@
 #include "common/chaosio.hh"
 #include "common/fsio.hh"
 #include "common/logging.hh"
-#include "common/netio.hh"
 #include "common/random.hh"
 
 namespace aos::campaign::chaos_audit {
@@ -55,9 +51,8 @@ classify(const chaos::ChaosEngine &eng, bool violation, bool cleanAbort,
          std::string detail)
 {
     ScenarioResult r;
-    r.chaosOps = eng.ops(chaos::Domain::kDisk) +
-                 eng.ops(chaos::Domain::kNet) +
-                 eng.ops(chaos::Domain::kAlloc);
+    r.chaosOps =
+        eng.ops(chaos::Domain::kDisk) + eng.ops(chaos::Domain::kAlloc);
     r.injected = eng.injectedTotal();
     r.detail = std::move(detail);
     if (violation)
@@ -214,249 +209,6 @@ auditCheckpointDisk(u64 seed, const CancelToken &cancel)
     for (u32 i = 0; i < n; ++i)
         anyFailed = anyFailed || (started && !appended[i]);
     return classify(eng, !vio.empty(), anyFailed, vio);
-}
-
-ScenarioResult
-auditTransportNet(u64 seed, const CancelToken &cancel)
-{
-    Rng rng(seed);
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-        chaos::ChaosEngine none{chaos::ChaosConfig{}};
-        return classify(none, true, false, "socketpair failed");
-    }
-    netio::Socket tx(fds[0]);
-    netio::Socket rx(fds[1]);
-
-    const unsigned m = 8 + static_cast<unsigned>(rng.below(9));
-    std::vector<std::pair<u32, std::string>> sent;
-    sent.reserve(m);
-    for (unsigned k = 0; k < m; ++k) {
-        const u32 type = 1 + static_cast<u32>(rng.below(7));
-        std::string payload(rng.below(2001), '\0');
-        for (char &c : payload)
-            c = static_cast<char>(rng.below(256));
-        sent.emplace_back(type, std::move(payload));
-    }
-
-    chaos::ChaosConfig cfg;
-    cfg.seed = rng.next();
-    cfg.ratePerMille = 40 + static_cast<u32>(rng.below(360));
-    cfg.domains = chaos::domainBit(chaos::Domain::kNet);
-    chaos::ChaosEngine eng(cfg);
-
-    unsigned sentOk = 0;
-    bool sendAborted = false;
-    bool recvReset = false;
-    std::vector<std::pair<u32, std::string>> got;
-    netio::FrameDecoder dec;
-    {
-        chaos::ChaosScope scope(&eng);
-        for (unsigned k = 0; k < m; ++k) {
-            if (!tx.sendAll(netio::encodeFrame(sent[k].first,
-                                               sent[k].second))) {
-                sendAborted = true; // A real sender drops the link.
-                break;
-            }
-            ++sentOk;
-        }
-        tx.close(); // EOF for the drain below.
-
-        char buf[4096];
-        for (;;) {
-            const long nr = rx.recvSome(buf, sizeof(buf));
-            if (nr == 0)
-                break;
-            if (nr < 0) {
-                recvReset = true;
-                break;
-            }
-            dec.feed(buf, static_cast<size_t>(nr));
-            u32 type = 0;
-            std::string payload;
-            while (dec.next(type, payload))
-                got.emplace_back(type, payload);
-            if (dec.corrupt())
-                break;
-        }
-    }
-    cancel.throwIfCancelled();
-
-    std::string vio;
-    // A decoded frame passed the CRC: it must BE the sent frame. An
-    // injected flip that decoded anyway would be a CRC collision — the
-    // exact silent corruption the framing exists to rule out.
-    if (got.size() > sentOk) {
-        vio = "decoded more frames than were fully sent";
-    } else {
-        for (size_t k = 0; k < got.size() && vio.empty(); ++k) {
-            if (got[k] != sent[k])
-                vio = csprintf("decoded frame %zu differs from the "
-                               "frame sent", k);
-        }
-    }
-    // Benign faults (short transfers, EINTR, delays) degrade timing,
-    // never delivery: with no hard fault injected, everything must
-    // arrive intact.
-    const bool lossy =
-        sendAborted || recvReset || dec.corrupt() || got.size() != m;
-    if (vio.empty() && eng.injectedHard() == 0 && lossy)
-        vio = "frames lost without any hard fault injected";
-
-    const bool cleanAbort = sendAborted || recvReset || dec.corrupt();
-    return classify(eng, !vio.empty(), cleanAbort, vio);
-}
-
-ScenarioResult
-auditFabricNet(u64 seed, const CancelToken &cancel)
-{
-    using SteadyClock = std::chrono::steady_clock;
-    Rng rng(seed);
-    const unsigned jobs = 10 + static_cast<unsigned>(rng.below(6));
-    std::vector<std::string> work;
-    work.reserve(jobs);
-    for (unsigned j = 0; j < jobs; ++j)
-        work.push_back(csprintf("work-%u-%016llx", j,
-                                static_cast<unsigned long long>(
-                                    rng.next())));
-    std::vector<bool> committed(jobs, false);
-
-    chaos::ChaosConfig cfg;
-    cfg.seed = rng.next();
-    cfg.ratePerMille = 30 + static_cast<u32>(rng.below(220));
-    cfg.domains = chaos::domainBit(chaos::Domain::kNet);
-    chaos::ChaosEngine eng(cfg);
-    // The echo worker models a remote process: its side of the link
-    // must not share this thread's chaos schedule. A disabled engine
-    // shadows any process-global one.
-    chaos::ChaosEngine quiet{chaos::ChaosConfig{}};
-
-    std::string vio;
-    unsigned next = 0;
-    unsigned generations = 0;
-    unsigned inlineJobs = 0;
-
-    while (next < jobs && generations < 6 && vio.empty()) {
-        cancel.throwIfCancelled();
-        ++generations;
-        int fds[2];
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-            vio = "socketpair failed";
-            break;
-        }
-        netio::Socket coord(fds[0]);
-        std::thread worker([fd = fds[1], &quiet]() {
-            chaos::ChaosScope scope(&quiet);
-            netio::Socket sock(fd);
-            netio::FrameDecoder dec;
-            char buf[4096];
-            for (;;) {
-                const long nr = sock.recvSome(buf, sizeof(buf));
-                if (nr <= 0)
-                    return;
-                dec.feed(buf, static_cast<size_t>(nr));
-                u32 type = 0;
-                std::string payload;
-                while (dec.next(type, payload)) {
-                    if (type != 1)
-                        return;
-                    if (!sock.sendAll(
-                            netio::encodeFrame(2, "done:" + payload)))
-                        return;
-                }
-                if (dec.corrupt())
-                    return; // Detected corruption: drop the link.
-            }
-        });
-
-        bool linkDead = false;
-        {
-            chaos::ChaosScope scope(&eng);
-            netio::FrameDecoder dec;
-            while (next < jobs && !linkDead && vio.empty()) {
-                if (!coord.sendAll(netio::encodeFrame(1, work[next]))) {
-                    linkDead = true;
-                    break;
-                }
-                // Await the echo. A flipped length field can stall
-                // the stream with both peers waiting (the declared
-                // bytes never arrive), so silence is handled the way
-                // the real coordinator handles heartbeat silence:
-                // evict the link and re-run the job elsewhere. The
-                // generation bound plus inline fallback below keep
-                // the scenario itself finite.
-                const SteadyClock::time_point deadline =
-                    SteadyClock::now() + std::chrono::seconds(2);
-                bool gotFrame = false;
-                u32 type = 0;
-                std::string payload;
-                while (!gotFrame && !linkDead && vio.empty()) {
-                    if (dec.next(type, payload)) {
-                        gotFrame = true;
-                        break;
-                    }
-                    if (dec.corrupt()) {
-                        linkDead = true;
-                        break;
-                    }
-                    if (SteadyClock::now() > deadline) {
-                        linkDead = true; // Heartbeat-silence eviction.
-                        break;
-                    }
-                    std::vector<size_t> readable;
-                    if (!netio::pollReadable({coord.fd()}, 100,
-                                             readable)) {
-                        vio = "poll failed awaiting the echo";
-                        break;
-                    }
-                    if (readable.empty())
-                        continue;
-                    char buf[4096];
-                    const long nr = coord.recvSome(buf, sizeof(buf));
-                    if (nr <= 0) {
-                        linkDead = true;
-                        break;
-                    }
-                    dec.feed(buf, static_cast<size_t>(nr));
-                }
-                if (!gotFrame)
-                    break;
-                if (type != 2 || payload != "done:" + work[next]) {
-                    vio = csprintf("echo mismatch for job %u", next);
-                    break;
-                }
-                if (committed[next]) {
-                    vio = csprintf("job %u committed twice", next);
-                    break;
-                }
-                committed[next] = true;
-                ++next;
-            }
-        }
-        coord.close(); // EOF unblocks the worker; join cannot hang.
-        worker.join();
-    }
-
-    // Inline fallback: generations exhausted (or none needed) — the
-    // coordinator itself finishes the queue, chaos-free.
-    for (unsigned j = next; j < jobs && vio.empty(); ++j) {
-        if (committed[j]) {
-            vio = csprintf("job %u committed twice (inline)", j);
-            break;
-        }
-        committed[j] = true;
-        ++inlineJobs;
-    }
-    if (vio.empty()) {
-        for (unsigned j = 0; j < jobs; ++j) {
-            if (!committed[j]) {
-                vio = csprintf("job %u never committed", j);
-                break;
-            }
-        }
-    }
-
-    return classify(eng, !vio.empty(), inlineJobs > 0, vio);
 }
 
 ScenarioResult

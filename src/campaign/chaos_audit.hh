@@ -2,16 +2,15 @@
  * @file
  * Graceful-degradation audit over the chaos engine (DESIGN.md §13,
  * bench/chaos_audit): seeded scenarios that run one infrastructure
- * subsystem — checkpoint disk I/O, the frame transport, a miniature
- * fabric exchange, the campaign allocation boundary — under an
- * isolated ChaosScope and then check, chaos-free, that the subsystem
- * honoured its degradation contract.
+ * subsystem — checkpoint disk I/O or the campaign allocation
+ * boundary — under an isolated ChaosScope and then check, chaos-free,
+ * that the subsystem honoured its degradation contract.
  *
  * Every scenario classifies into exactly one Outcome:
  *
- *  - kTolerated: only benign faults (short transfers, EINTR, delays)
- *    were injected and the operation completed normally;
- *  - kDegradedRetried: hard faults (EIO, ENOSPC, resets, flips,
+ *  - kTolerated: only benign faults (short writes, EINTR) were
+ *    injected and the operation completed normally;
+ *  - kDegradedRetried: hard faults (EIO, ENOSPC, failed rename/open,
  *    bad_alloc) were injected yet the operation still completed —
  *    retries/backoff absorbed them;
  *  - kCleanAbort: the operation reported failure AND left consistent
@@ -60,24 +59,6 @@ struct ScenarioResult
  * a chaos-free resume completes the remaining jobs.
  */
 ScenarioResult auditCheckpointDisk(u64 seed, const CancelToken &cancel);
-
-/**
- * Net × transport: CRC-framed messages over a socketpair under net
- * chaos. Every decoded frame must equal the frame that was sent (the
- * CRC turns injected flips into poisoned streams, never wrong
- * payloads), and a run with zero injections must deliver everything.
- */
-ScenarioResult auditTransportNet(u64 seed, const CancelToken &cancel);
-
-/**
- * Net × fabric: a lockstep coordinator/worker exchange (the worker is
- * an in-process chaos-free echo thread) where the coordinator's side
- * of the link runs under net chaos. A torn link kills the generation
- * and respawns (bounded), then inline fallback finishes the queue;
- * every job must commit exactly once with the correct result and no
- * await may hang.
- */
-ScenarioResult auditFabricNet(u64 seed, const CancelToken &cancel);
 
 /**
  * Alloc × campaign: a nested single-worker Campaign whose attempt

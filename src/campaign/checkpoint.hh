@@ -121,19 +121,18 @@ std::string encodeCheckpointRecord(const JobResult &r);
 
 /**
  * Validate one framed record (magic, length bound, CRC32) and decode
- * its JobResult. The fabric's RESULT frames carry exactly these bytes
- * (DESIGN.md §12), so wire and disk share one decoder. When
- * @p consumed is non-null it receives the record's total size, letting
- * callers scan a concatenated stream. Nothing is trusted on failure.
+ * its JobResult. When @p consumed is non-null it receives the record's
+ * total size, letting callers scan a concatenated stream. Nothing is
+ * trusted on failure.
  */
 bool decodeCheckpointRecord(const void *data, size_t size, JobResult &out,
                             size_t *consumed = nullptr);
 
 /**
- * Campaign-side checkpoint bring-up shared by the threaded pool and
- * the fabric coordinator: compute the manifest, validate @p dir,
- * restore every intact record into @p result (resumedJobs /
- * discardedRecords updated), and start @p writer with @p shards logs.
+ * Campaign-side checkpoint bring-up for Campaign::run(): compute the
+ * manifest, validate @p dir, restore every intact record into
+ * @p result (resumedJobs / discardedRecords updated), and start
+ * @p writer with @p shards logs.
  * fatal()s when the directory cannot be made writable. No-op (false)
  * when options.checkpointDir is empty.
  */

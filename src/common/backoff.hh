@@ -4,19 +4,15 @@
  * capped exponential backoff with deterministic seeded jitter,
  * cancel-aware sleeping.
  *
- * The ad-hoc loops this replaces (the fabric worker's fixed 25×200 ms
- * connect loop, the coordinator's hot accept retry, single-attempt
- * checkpoint fsyncs) all made a different wrong trade: fixed delays
- * either hammer a recovering resource or waste seconds on one that
- * came back instantly, and none of them answered a SIGINT promptly.
- * Backoff centralizes the discipline:
+ * Fixed retry delays either hammer a recovering resource or waste
+ * seconds on one that came back instantly, and a plain sleep does not
+ * answer a SIGINT promptly. Backoff centralizes the discipline:
  *
  *  - delays grow initialMs * multiplier^attempt, capped at maxMs;
  *  - each delay is jittered by a factor in [1-jitter, 1+jitter] drawn
- *    from a seeded Rng (common/random.hh), so a fleet of workers
- *    retrying the same dead coordinator doesn't thundering-herd in
- *    lockstep — yet the same seed reproduces the same delays, keeping
- *    timing-sensitive tests deterministic;
+ *    from a seeded Rng (common/random.hh), so concurrent retriers do
+ *    not retry in lockstep — yet the same seed reproduces the same
+ *    delays, keeping timing-sensitive tests deterministic;
  *  - sleep() slices the wait into <= 20 ms chunks and polls the
  *    CancelToken between slices, so shutdown latency stays bounded by
  *    a slice, not by the (possibly seconds-long) capped delay.

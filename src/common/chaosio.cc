@@ -11,11 +11,10 @@ namespace aos::chaos {
 
 namespace {
 
-/** Per-domain salts keep the three schedules statistically independent
- *  even though they share one seed. */
+/** Per-domain salts keep the schedules statistically independent even
+ *  though they share one seed. */
 constexpr u64 kDomainSalt[kDomainCount] = {
     0xd15c'fa17'0000'0001ULL, // disk
-    0x4e70'fa17'0000'0002ULL, // net
     0xa110'fa17'0000'0003ULL, // alloc
 };
 
@@ -45,9 +44,7 @@ std::atomic<ChaosEngine *> processEngine{nullptr};
 constexpr u32 kHardKinds =
     kindBit(FaultKind::kWriteEio) | kindBit(FaultKind::kWriteEnospc) |
     kindBit(FaultKind::kFsyncEio) | kindBit(FaultKind::kRenameFail) |
-    kindBit(FaultKind::kOpenFail) | kindBit(FaultKind::kSendReset) |
-    kindBit(FaultKind::kRecvReset) | kindBit(FaultKind::kFlipByte) |
-    kindBit(FaultKind::kBadAlloc);
+    kindBit(FaultKind::kOpenFail) | kindBit(FaultKind::kBadAlloc);
 
 } // namespace
 
@@ -56,7 +53,6 @@ domainName(Domain d)
 {
     switch (d) {
       case Domain::kDisk: return "disk";
-      case Domain::kNet: return "net";
       case Domain::kAlloc: return "alloc";
     }
     return "unknown";
@@ -73,12 +69,6 @@ faultKindName(FaultKind k)
       case FaultKind::kRenameFail: return "rename_fail";
       case FaultKind::kOpenFail: return "open_fail";
       case FaultKind::kEintr: return "eintr";
-      case FaultKind::kShortSend: return "short_send";
-      case FaultKind::kSendReset: return "send_reset";
-      case FaultKind::kShortRecv: return "short_recv";
-      case FaultKind::kRecvReset: return "recv_reset";
-      case FaultKind::kFlipByte: return "flip_byte";
-      case FaultKind::kDelay: return "delay";
       case FaultKind::kBadAlloc: return "bad_alloc";
       case FaultKind::kCount: break;
     }
@@ -126,17 +116,14 @@ parseChaosSpec(const std::string &text, ChaosConfig &out, std::string &error)
         off = end + 1;
         if (name == "disk") {
             config.domains |= domainBit(Domain::kDisk);
-        } else if (name == "net") {
-            config.domains |= domainBit(Domain::kNet);
         } else if (name == "alloc") {
             config.domains |= domainBit(Domain::kAlloc);
         } else if (name == "all") {
-            config.domains |= domainBit(Domain::kDisk) |
-                              domainBit(Domain::kNet) |
-                              domainBit(Domain::kAlloc);
+            config.domains |=
+                domainBit(Domain::kDisk) | domainBit(Domain::kAlloc);
         } else {
             error = csprintf("unknown chaos domain \"%s\" (want "
-                             "disk|net|alloc|all, '+'-separated)",
+                             "disk|alloc|all, '+'-separated)",
                              name.c_str());
             return false;
         }
@@ -282,11 +269,10 @@ installChaosFromEnv()
     // destruction (logging flushes, etc.) and must never observe a
     // destroyed engine.
     setProcessEngine(new ChaosEngine(config));
-    inform("chaos: seed %llu, %u/1000 per op, domains%s%s%s%s",
+    inform("chaos: seed %llu, %u/1000 per op, domains%s%s%s",
            static_cast<unsigned long long>(config.seed),
            config.ratePerMille,
            config.domains & domainBit(Domain::kDisk) ? " disk" : "",
-           config.domains & domainBit(Domain::kNet) ? " net" : "",
            config.domains & domainBit(Domain::kAlloc) ? " alloc" : "",
            config.maxPerDomain
                ? csprintf(" (cap %llu/domain)",

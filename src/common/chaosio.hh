@@ -5,10 +5,8 @@
  * of src/faultinject, aimed one layer down: instead of flipping bits in
  * the *simulated* machine, it makes the instrumented syscall sites in
  * common/fsio.hh (short/failed write(2), fsync EIO, rename failure,
- * ENOSPC, open failure), common/netio.hh (partial send/recv,
- * ECONNRESET, EINTR storms, byte flips on live sockets, delayed
- * delivery) and the campaign layer's allocation boundaries (bounded
- * bad_alloc) fail on schedule.
+ * ENOSPC, open failure, EINTR storms) and the campaign layer's
+ * allocation boundaries (bounded bad_alloc) fail on schedule.
  *
  * Determinism contract, mirroring faultinject::FaultPlan: a ChaosPlan
  * is a pure function of (config, domain, operation index, site mask).
@@ -45,9 +43,9 @@
 namespace aos::chaos {
 
 /** Which layer of the environment an instrumented site belongs to. */
-enum class Domain : unsigned { kDisk = 0, kNet = 1, kAlloc = 2 };
+enum class Domain : unsigned { kDisk = 0, kAlloc = 1 };
 
-constexpr unsigned kDomainCount = 3;
+constexpr unsigned kDomainCount = 2;
 
 constexpr u32
 domainBit(Domain d)
@@ -70,15 +68,7 @@ enum class FaultKind : unsigned {
     kFsyncEio,       //!< fsync(2) fails with EIO (lost durability).
     kRenameFail,     //!< rename(2) fails (atomic commit lost).
     kOpenFail,       //!< open(2) fails with EMFILE.
-    // Shared.
     kEintr,          //!< A bounded synthetic EINTR storm.
-    // Net (netio).
-    kShortSend,      //!< send(2) consumes only part of the buffer.
-    kSendReset,      //!< send(2) fails with ECONNRESET.
-    kShortRecv,      //!< recv(2) is asked for fewer bytes (fragmented).
-    kRecvReset,      //!< recv(2) fails with ECONNRESET.
-    kFlipByte,       //!< One bit of the transferred bytes is flipped.
-    kDelay,          //!< The transfer is delayed by up to ~2 ms.
     // Alloc (campaign-layer boundaries).
     kBadAlloc,       //!< std::bad_alloc at a probeAlloc() boundary.
 
@@ -112,8 +102,9 @@ struct ChaosConfig
 
 /**
  * Parse the AOS_CHAOS spelling "seed,rate,domains[,cap]" where domains
- * is '+'-separated from {disk, net, alloc, all}. Strict in the spirit
- * of common/env.hh: a malformed field fails with @p error set, never a
+ * is '+'-separated from {disk, alloc, all}; all means disk+alloc.
+ * Strict in the spirit of common/env.hh: a malformed field (an unknown
+ * domain such as "net" included) fails with @p error set, never a
  * half-accepted config. rate is clamped to 1000‰.
  */
 bool parseChaosSpec(const std::string &text, ChaosConfig &out,
@@ -169,9 +160,9 @@ class ChaosEngine
 
     /**
      * Injections whose kind makes an operation *fail* (EIO, ENOSPC,
-     * resets, flips, bad_alloc) as opposed to merely degrade it
-     * (short transfers, EINTR, delays). The audit classifies a clean
-     * result with hard injections as degraded_retried.
+     * rename/open failure, bad_alloc) as opposed to merely degrade it
+     * (short writes, EINTR). The audit classifies a clean result with
+     * hard injections as degraded_retried.
      */
     u64 injectedHard() const;
 

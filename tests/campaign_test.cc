@@ -13,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,9 +264,32 @@ TEST(CampaignPool, ManyJobsAllRunExactlyOnce)
     CampaignResult r = c.run();
     ASSERT_TRUE(r.allOk());
     EXPECT_EQ(runs->load(), kJobs);
-    // Results are in submission order regardless of stealing.
+    // Results are in submission order whichever worker ran each job.
     for (int i = 0; i < kJobs; ++i)
         EXPECT_EQ(r.jobs[i].run.core.cycles, static_cast<u64>(i));
+}
+
+TEST(CampaignPool, JobsAreClaimedInSubmissionOrder)
+{
+    setQuiet(true);
+    auto order = std::make_shared<std::vector<int>>();
+    CampaignOptions options;
+    options.workers = 1; // One claimer makes the claim order observable.
+    Campaign c(options);
+    constexpr int kJobs = 16;
+    for (int i = 0; i < kJobs; ++i) {
+        Job job;
+        job.name = csprintf("job%d", i);
+        job.body = [order, i] {
+            order->push_back(i);
+            return core::RunResult{};
+        };
+        c.add(std::move(job));
+    }
+    ASSERT_TRUE(c.run().allOk());
+    ASSERT_EQ(order->size(), static_cast<size_t>(kJobs));
+    for (int i = 0; i < kJobs; ++i)
+        EXPECT_EQ((*order)[i], i);
 }
 
 TEST(CampaignReducers, NamedRollupsOverStats)

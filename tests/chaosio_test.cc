@@ -42,18 +42,17 @@ TEST(ChaosSpec, ParsesFullSpelling)
 {
     ChaosConfig c;
     std::string error;
-    ASSERT_TRUE(parseChaosSpec("42,250,disk+net,7", c, error)) << error;
+    ASSERT_TRUE(parseChaosSpec("42,250,disk+alloc,7", c, error)) << error;
     EXPECT_EQ(c.seed, 42u);
     EXPECT_EQ(c.ratePerMille, 250u);
     EXPECT_EQ(c.domains,
-              domainBit(Domain::kDisk) | domainBit(Domain::kNet));
+              domainBit(Domain::kDisk) | domainBit(Domain::kAlloc));
     EXPECT_EQ(c.maxPerDomain, 7u);
     EXPECT_TRUE(c.enabled());
 
     ASSERT_TRUE(parseChaosSpec("1,50,all", c, error)) << error;
-    EXPECT_EQ(c.domains, domainBit(Domain::kDisk) |
-                             domainBit(Domain::kNet) |
-                             domainBit(Domain::kAlloc));
+    EXPECT_EQ(c.domains,
+              domainBit(Domain::kDisk) | domainBit(Domain::kAlloc));
     EXPECT_EQ(c.maxPerDomain, 0u);
 }
 
@@ -70,7 +69,8 @@ TEST(ChaosSpec, RejectsMalformedSpellingsWithAReason)
     ChaosConfig c;
     for (const char *bad :
          {"", "1", "1,2", "x,2,disk", "1,y,disk", "1,2,disk,z",
-          "1,2,floppy", "1,2,disk+", "1,2,", "1,2,disk,3,4"}) {
+          "1,2,floppy", "1,2,disk+", "1,2,", "1,2,disk,3,4",
+          "1,10,disk+net"}) {
         std::string error;
         EXPECT_FALSE(parseChaosSpec(bad, c, error)) << bad;
         EXPECT_FALSE(error.empty()) << bad; // Always says why.
@@ -120,10 +120,11 @@ TEST(ChaosPlan, RateIsApproximatelyHonoured)
 
 TEST(ChaosPlan, DisabledDomainNeverFires)
 {
-    const ChaosPlan plan(config(7, 1000, domainBit(Domain::kDisk)));
+    const ChaosPlan diskOnly(config(7, 1000, domainBit(Domain::kDisk)));
+    const ChaosPlan allocOnly(config(7, 1000, domainBit(Domain::kAlloc)));
     for (u64 op = 0; op < 100; ++op) {
-        EXPECT_FALSE(plan.at(Domain::kNet, op, ~0u).fire);
-        EXPECT_FALSE(plan.at(Domain::kAlloc, op, ~0u).fire);
+        EXPECT_FALSE(diskOnly.at(Domain::kAlloc, op, ~0u).fire);
+        EXPECT_FALSE(allocOnly.at(Domain::kDisk, op, ~0u).fire);
     }
 }
 
@@ -150,13 +151,13 @@ TEST(ChaosPlan, KindPickRespectsSiteAndConfigMasks)
 
 TEST(ChaosPlan, HighRateUsesEveryOfferedKind)
 {
-    const ChaosPlan plan(config(11, 1000, domainBit(Domain::kNet)));
+    const ChaosPlan plan(config(11, 1000, domainBit(Domain::kDisk)));
     std::set<FaultKind> seen;
-    const u32 site = kindBit(FaultKind::kShortSend) |
-                     kindBit(FaultKind::kSendReset) |
-                     kindBit(FaultKind::kFlipByte);
+    const u32 site = kindBit(FaultKind::kShortWrite) |
+                     kindBit(FaultKind::kWriteEio) |
+                     kindBit(FaultKind::kFsyncEio);
     for (u64 op = 0; op < 500; ++op) {
-        const Decision d = plan.at(Domain::kNet, op, site);
+        const Decision d = plan.at(Domain::kDisk, op, site);
         ASSERT_TRUE(d.fire);
         seen.insert(d.kind);
     }

@@ -3,13 +3,15 @@
  * Tests for crash-safe campaign checkpointing (campaign/checkpoint.hh),
  * the filesystem primitives underneath it (common/fsio.hh), and the
  * cooperative CancelToken (common/cancel.hh): durable-record round
- * trips, kill-and-resume byte parity of the canonical JSON, corruption
- * detection (truncated tails, bit flips, foreign/corrupt manifests ⇒
- * re-execution, never silently-trusted records), and shutdown
- * preemption semantics. The chaos tests (DESIGN.md §13) drive the
- * same primitives through injected disk faults: torn-tail truncation
- * makes AppendLog retries safe, a writer under chaos leaves no temp
- * files and a clean load trusts exactly the durably-appended records.
+ * trips, record decoding (consumed-size reporting, rejection of
+ * truncated or corrupted bytes), kill-and-resume byte parity of the
+ * canonical JSON, corruption detection (truncated tails, bit flips,
+ * foreign/corrupt manifests ⇒ re-execution, never silently-trusted
+ * records), and shutdown preemption semantics. The chaos tests
+ * (DESIGN.md §13) drive the same primitives through injected disk
+ * faults: torn-tail truncation makes AppendLog retries safe, a writer
+ * under chaos leaves no temp files and a clean load trusts exactly the
+ * durably-appended records.
  */
 
 #include <atomic>
@@ -260,6 +262,65 @@ TEST(Checkpoint, RecordRoundTripsExactDoubles)
     EXPECT_EQ(back.stats.value("ipc"), 1.0 / 3.0);
     EXPECT_EQ(back.stats.value("cycles"), 1e18);
     EXPECT_EQ(back.timing.value("ops_per_sec"), 987.125);
+}
+
+JobResult
+sampleRecord()
+{
+    JobResult r;
+    r.id = 5;
+    r.name = "record";
+    r.profile = "bzip2";
+    r.status = JobStatus::kOk;
+    r.attempts = 1;
+    r.wallMs = 1.5;
+    r.stats.scalar("ipc") = 1.0 / 3.0;
+    return r;
+}
+
+TEST(Checkpoint, RecordDecodeReportsConsumedBytes)
+{
+    const std::string bytes = encodeCheckpointRecord(sampleRecord());
+    JobResult out;
+    size_t consumed = 0;
+    ASSERT_TRUE(decodeCheckpointRecord(bytes.data(), bytes.size(), out,
+                                       &consumed));
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_EQ(out.id, 5u);
+    EXPECT_EQ(out.name, "record");
+    EXPECT_FALSE(out.resumed); // Only loadCheckpoint() marks resumes.
+    EXPECT_EQ(out.stats.value("ipc"), 1.0 / 3.0);
+}
+
+TEST(Checkpoint, RecordDecodeRejectsCorruption)
+{
+    const std::string bytes = encodeCheckpointRecord(sampleRecord());
+    JobResult out;
+
+    // Every truncation is rejected (incomplete ≠ decodable).
+    for (size_t cut = 0; cut < bytes.size(); cut += 3)
+        EXPECT_FALSE(decodeCheckpointRecord(bytes.data(), cut, out));
+
+    // A flipped payload bit fails the CRC.
+    std::string flipped = bytes;
+    flipped[flipped.size() - 2] ^= 0x08;
+    EXPECT_FALSE(
+        decodeCheckpointRecord(flipped.data(), flipped.size(), out));
+
+    // A flipped magic byte is rejected before anything else.
+    std::string badMagic = bytes;
+    badMagic[0] ^= 0xFF;
+    EXPECT_FALSE(
+        decodeCheckpointRecord(badMagic.data(), badMagic.size(), out));
+
+    // An absurd declared length is rejected from the header alone.
+    std::string badLen = bytes;
+    badLen[4] = static_cast<char>(0xFF);
+    badLen[5] = static_cast<char>(0xFF);
+    badLen[6] = static_cast<char>(0xFF);
+    badLen[7] = static_cast<char>(0x7F);
+    EXPECT_FALSE(
+        decodeCheckpointRecord(badLen.data(), badLen.size(), out));
 }
 
 TEST(Checkpoint, IdentityHashCoversResultAffectingSpec)

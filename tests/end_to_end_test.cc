@@ -7,8 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/logging.hh"
 #include "core/aos_system.hh"
+
+namespace aos::workloads {
+
+// Print a profile parameter by name rather than by address, so the
+// test names gtest lists (and ctest registers) are the same in every
+// build.
+void PrintTo(const WorkloadProfile *profile, std::ostream *os)
+{
+    *os << profile->name;
+}
+
+} // namespace aos::workloads
 
 namespace aos::core {
 namespace {

@@ -5,9 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "hwcost/sram_model.hh"
 
 namespace aos::hwcost {
+
+// Print a Table I row by structure name rather than as raw bytes (which
+// hold a heap pointer), so the listed test names are the same in every
+// build.
+void PrintTo(const TableOneRow &row, std::ostream *os)
+{
+    *os << row.spec.name;
+}
+
 namespace {
 
 TEST(SramModel, TableOneRowsPresent)
