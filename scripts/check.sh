@@ -8,11 +8,10 @@
 # regression guard, crash-resume check (SIGKILL mid-campaign +
 # AOS_CAMPAIGN_RESUME byte parity), chaos-engine check (deterministic
 # AOS_CHAOS fault injection with byte parity + the graceful-degradation
-# audit), clang-tidy lint and the multi-tenant scheduler audit. Run
-# from the repository root:
+# audit) and clang-tidy lint. Run from the repository root:
 #
 #   scripts/check.sh              # everything
-#   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip the ASan pass
+#   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip ASan and TSan
 #
 # The tier-1 stage runs every test; the sanitizer stage runs the fast
 # set (`-LE slow`) — the full suite under ASan is a CI-budget call,
@@ -24,18 +23,18 @@ cd "$(dirname "$0")/.."
 
 JOBS="${AOS_CHECK_JOBS:-$(nproc)}"
 
-echo "== [1/12] default build =="
+echo "== [1/11] default build =="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 
-echo "== [2/12] tier-1 tests =="
+echo "== [2/11] tier-1 tests =="
 ctest --preset default -j "${JOBS}"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [3/12] sanitizer build + fast tests (ASan+UBSan) =="
+    echo "== [3/11] sanitizer build + fast tests (ASan+UBSan) =="
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
@@ -45,32 +44,28 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
-    echo "== [3/12] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [3/11] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [4/12] thread-sanitizer pass (TSan) =="
+    echo "== [4/11] thread-sanitizer pass (TSan) =="
     # The campaign worker pool, checkpoint writer and logging sinks are
     # the only concurrent subsystems: build exactly what exercises
     # them, run their suites, then drive a jobs=4 campaign end to end
     # under TSan so the pool races against the JSON/checkpoint writers.
-    # scheduler_test rides along: concurrent audit jobs each build a
-    # whole Scheduler, so its state must be pool-shareable.
     cmake --preset tsan
     cmake --build --preset tsan -j "${JOBS}" --target \
-        campaign_smoke campaign_test checkpoint_test logging_test \
-        scheduler_test
+        campaign_smoke campaign_test checkpoint_test logging_test
     ./build-tsan/tests/campaign_test
     ./build-tsan/tests/checkpoint_test
     ./build-tsan/tests/logging_test
-    ./build-tsan/tests/scheduler_test
     AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
         AOS_CAMPAIGN_JSON="${SMOKE_DIR}/tsan-smoke.json" \
         ./build-tsan/bench/campaign_smoke
     grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/tsan-smoke.json"
     echo "tsan: concurrency suites OK"
 else
-    echo "== [4/12] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [4/11] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 # Strip the timing-only fields (each JSON member is on its own line)
@@ -85,7 +80,7 @@ json_parity() {
     fi
 }
 
-echo "== [5/12] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
+echo "== [5/11] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/serial.json" ./build/bench/campaign_smoke
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
@@ -96,7 +91,7 @@ json_parity "${SMOKE_DIR}/serial.json" "${SMOKE_DIR}/parallel.json" \
     "campaign smoke"
 echo "campaign smoke: parity OK"
 
-echo "== [6/12] fault-matrix smoke (DESIGN.md §8 audit) =="
+echo "== [6/11] fault-matrix smoke (DESIGN.md §8 audit) =="
 # Run the graceful-degradation audit under the sanitizer build when
 # available — injected corruption must be UB-free, not just survivable.
 FAULT_BIN=./build/bench/fault_matrix
@@ -112,7 +107,7 @@ json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
     "fault matrix"
 echo "fault matrix: audit + parity OK"
 
-echo "== [7/12] bounds-elision ablation (obligation gates + parity) =="
+echo "== [7/11] bounds-elision ablation (obligation gates + parity) =="
 # The benchmark itself exits non-zero if any ObligationChecker gate
 # fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
 # the determinism contract on top.
@@ -127,7 +122,7 @@ json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
     "bounds elision"
 echo "bounds elision: gates + parity OK"
 
-echo "== [8/12] simulator throughput guard =="
+echo "== [8/11] simulator throughput guard =="
 # Smoke-mode run of the host-throughput benchmark against the
 # checked-in baseline: the per-mechanism ops/sec geomeans may not drop
 # more than the guard band below scripts/throughput_baseline.json
@@ -170,7 +165,7 @@ done
 [ "${THROUGHPUT_GUARD_OK}" = "1" ] || exit 1
 echo "throughput guard: OK"
 
-echo "== [9/12] crash-resume (SIGKILL mid-campaign, resume, parity) =="
+echo "== [9/11] crash-resume (SIGKILL mid-campaign, resume, parity) =="
 # Kill a checkpointed campaign once its first record is durable, resume
 # it with AOS_CAMPAIGN_RESUME, and require the canonical JSON to be
 # byte-identical to an uninterrupted run (DESIGN.md §10).
@@ -225,7 +220,7 @@ resume_check fig14 ./build/bench/fig14_exec_time 4 20000
 resume_check fault_matrix "${FAULT_BIN}" 4 20000
 resume_check sim_throughput ./build/bench/sim_throughput 4 20000
 
-echo "== [10/12] chaos engine (fault injection + degradation audit) =="
+echo "== [10/11] chaos engine (fault injection + degradation audit) =="
 # DESIGN.md §13: under a fixed AOS_CHAOS schedule every subsystem must
 # either absorb the injected environment faults (retry/backoff) or
 # abort cleanly — and whenever a campaign reports success its canonical
@@ -274,38 +269,7 @@ if ! cmp -s "${CHAOS_DIR}/audit1.json" "${CHAOS_DIR}/auditN.json"; then
 fi
 echo "  chaos_audit: degradation audit + parity OK"
 
-echo "== [11/12] lint =="
+echo "== [11/11] lint =="
 cmake --build --preset default --target lint
-
-echo "== [12/12] multi-tenant scheduler (isolation audit + parity) =="
-# DESIGN.md §15: the tenant_matrix harness itself exits non-zero unless
-# the cross-tenant isolation audit holds over >= 500 scenarios (zero
-# fingerprint mismatches, zero unprovoked violations, zero
-# misattributed fault events) and the benign tenants of the
-# adversarial matrix fleets logged zero violations. The wrapper adds
-# the jobs=1 vs jobs=4 canonical byte-parity contract, and re-runs the
-# adversarial sweep under the sanitizer build when available — fleets
-# under attack must be UB-free, not just contained.
-TENANT_DIR="${SMOKE_DIR}/tenant"
-mkdir -p "${TENANT_DIR}"
-AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${TENANT_DIR}/tenant1.json" \
-    ./build/bench/tenant_matrix > /dev/null
-AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 AOS_CAMPAIGN_JSON=off \
-    AOS_CAMPAIGN_JSON_CANONICAL="${TENANT_DIR}/tenantN.json" \
-    ./build/bench/tenant_matrix
-grep -q '"schema": "aos-campaign-v1"' "${TENANT_DIR}/tenant1.json"
-if ! cmp -s "${TENANT_DIR}/tenant1.json" "${TENANT_DIR}/tenantN.json"; then
-    echo "tenant matrix: jobs=1 vs jobs=4 parity FAILED" >&2
-    diff "${TENANT_DIR}/tenant1.json" "${TENANT_DIR}/tenantN.json" |
-        head -40 >&2 || true
-    exit 1
-fi
-echo "  tenant_matrix: isolation audit + parity OK"
-if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 AOS_CAMPAIGN_JSON=off \
-        ./build-sanitize/bench/tenant_matrix > /dev/null
-    echo "  tenant_matrix: adversarial fleets sanitizer-clean OK"
-fi
 
 echo "All checks passed."

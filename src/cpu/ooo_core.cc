@@ -164,18 +164,6 @@ OoOCore::commit(Tick now)
     }
 }
 
-void
-OoOCore::flush()
-{
-    _rob.clear();
-    _loadsInFlight = 0;
-    _storesInFlight = 0;
-    _fetchBlockedUntil = 0;
-    _fetchedInLine = 0;
-    if (_mcu)
-        _mcu->flushAll();
-}
-
 const CoreStats &
 OoOCore::run(ir::InstStream &stream, u64 max_ops)
 {

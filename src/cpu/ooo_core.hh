@@ -106,25 +106,6 @@ class OoOCore
     const CoreStats &stats() const { return _stats; }
     const Tage &predictor() const { return _tage; }
 
-    /**
-     * Micro-ops issued so far (the run() max_ops bound is expressed in
-     * this count). Equals stats().committed after a clean drain, but
-     * runs ahead of it when a process kill squashed issued ops — the
-     * scheduler derives the next slice bound from here so a kill never
-     * shortens the following tenant's quantum.
-     */
-    u64 issued() const { return _nextSeq - 1; }
-
-    /**
-     * Process-kill pipeline flush: squash every in-flight micro-op
-     * (ROB, LSU counters and, via the MCU, the MCQ). Used by the
-     * multi-tenant scheduler when a tenant is terminated mid-slice by
-     * an AOS exception — the dead process's speculative state must not
-     * leak into the next tenant's slice. Cycle and commit counters are
-     * preserved; squashed ops never count as committed.
-     */
-    void flush();
-
     /** Train the predictor during functional fast-forward. */
     void
     observeBranch(u32 branch_id, bool taken)

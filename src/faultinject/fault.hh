@@ -99,8 +99,6 @@ struct FaultEvent
     FaultOutcome outcome = FaultOutcome::kPending;
     u64 trigger = 0; //!< Trigger-point counter value (domain-specific).
     u64 detail = 0;  //!< Type-specific: bit index, record, storm size...
-    u32 tenant = 0;  //!< Tenant-targeting domain: which process the
-                     //!< injector was aimed at (0 outside a scheduler).
 };
 
 /** Aggregated fault-injection results (flattened into StatSet). */

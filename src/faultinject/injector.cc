@@ -33,7 +33,6 @@ FaultInjector::record(FaultType type, FaultOutcome outcome, u64 trigger,
     event.outcome = outcome;
     event.trigger = trigger;
     event.detail = detail;
-    event.tenant = _env.tenantId;
     _events.push_back(event);
     _stats.note(event);
 }

@@ -44,14 +44,6 @@ struct InjectorEnv
 
     /** True iff @p addr lies inside the live chunk based at @p base. */
     std::function<bool(Addr base, Addr addr)> inChunk;
-
-    /**
-     * Tenant-targeting domain (multi-tenant scheduler): the injector
-     * perturbs only this tenant's stream/HBT, and every FaultEvent it
-     * records carries the id — the isolation audit cross-checks that
-     * no detection is ever attributed to a non-targeted tenant.
-     */
-    u32 tenantId = 0;
 };
 
 class FaultInjector : public McuFaultHooks

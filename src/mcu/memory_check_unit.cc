@@ -34,30 +34,6 @@ MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
     _bySeq.reserve(config.mcqEntries);
 }
 
-void
-MemoryCheckUnit::bind(bounds::HashedBoundsTable *hbt)
-{
-    panic_if(!hbt, "MCU requires a hashed bounds table");
-    panic_if(_count != 0,
-             "MCU rebind with %u in-flight entries: context switches "
-             "must happen between fully-drained slices",
-             _count);
-    _hbt = hbt;
-}
-
-void
-MemoryCheckUnit::flushAll()
-{
-    while (_count > 0) {
-        McqEntry &head = _slots[_headSlot];
-        head.valid = false;
-        _wake[_headSlot] = kNever;
-        _bySeq.erase(head.seq);
-        _headSlot = (_headSlot + 1) & _slotMask;
-        --_count;
-    }
-}
-
 bool
 MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
                          Tick now)

@@ -163,21 +163,6 @@ class MemoryCheckUnit
                     bounds::BoundsWayBuffer *bwb,
                     memsim::MemorySystem *mem);
 
-    /**
-     * Rebind the bounds table the checks run against — the context-
-     * switch hook of the multi-tenant scheduler. Only legal between
-     * slices, when the queue has fully drained: an in-flight walk
-     * against a departing table would check the wrong process's bounds.
-     */
-    void bind(bounds::HashedBoundsTable *hbt);
-
-    /**
-     * Discard every in-flight entry (process-kill pipeline flush).
-     * Committed-but-unapplied bndstr/bndclr mutations of the dying
-     * process are dropped with them.
-     */
-    void flushAll();
-
     /** Issue back-pressure: no room for another entry. */
     bool
     full() const

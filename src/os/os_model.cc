@@ -2,68 +2,24 @@
 
 namespace aos::os {
 
-namespace {
-
-/**
- * Offset from a process's initial HBT to where the resized table is
- * mapped — the spacing between the single-process defaults
- * (0x3000'0000'0000 -> 0x3800'0000'0000), preserved for per-tenant
- * bases so resize behaviour is base-independent.
- */
-constexpr Addr kNextTableOffset = 0x0800'0000'0000ull;
-
-} // namespace
-
 OsModel::OsModel(unsigned pac_bits, unsigned initial_assoc,
-                 unsigned records_per_way, FaultPolicy policy,
-                 Addr hbt_base)
-    : _pacBits(pac_bits), _initialAssoc(initial_assoc),
-      _recordsPerWay(records_per_way), _hbtBase(hbt_base),
-      _hbt(hbt_base, pac_bits, initial_assoc, records_per_way,
-           hbt_base + kNextTableOffset),
+                 unsigned records_per_way, FaultPolicy policy)
+    : _hbt(kHbtBase, pac_bits, initial_assoc, records_per_way),
       _policy(policy)
 {
-}
-
-void
-OsModel::setViolationCap(size_t cap)
-{
-    _violationCap = cap ? cap : 1;
-    if (_violations.size() > _violationCap) {
-        _violations.resize(_violationCap);
-        _violations.shrink_to_fit();
-    }
-    _ringHead = _ringHead % _violationCap;
 }
 
 void
 OsModel::logViolation(const ViolationRecord &record)
 {
     ++_violationCount;
-    if (_violations.size() < _violationCap) {
+    if (_violations.size() < kDefaultViolationCap) {
         _violations.push_back(record);
         return;
     }
     ++_violationsDropped;
     _violations[_ringHead] = record;
-    _ringHead = (_ringHead + 1) % _violationCap;
-}
-
-void
-OsModel::retire()
-{
-    // Remap a fresh empty table at the original base: move-assignment
-    // releases the grown storage of the old one (including a mid-flight
-    // resize target) deterministically, right here.
-    _hbt = bounds::HashedBoundsTable(_hbtBase, _pacBits, _initialAssoc,
-                                     _recordsPerWay,
-                                     _hbtBase + kNextTableOffset);
-    _violations.clear();
-    _violations.shrink_to_fit();
-    _ringHead = 0;
-    _violationCount = 0;
-    _violationsDropped = 0;
-    _resizes = 0;
+    _ringHead = (_ringHead + 1) % kDefaultViolationCap;
 }
 
 bool

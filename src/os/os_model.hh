@@ -67,8 +67,8 @@ class ProcessTerminated : public std::exception
 class OsModel
 {
   public:
-    /** Default address where the OS maps the initial bounds table. */
-    static constexpr Addr kDefaultHbtBase = 0x3000'0000'0000ull;
+    /** Address where the OS maps the initial bounds table. */
+    static constexpr Addr kHbtBase = 0x3000'0000'0000ull;
 
     /**
      * Violation records kept in memory (bounded ring). A
@@ -79,16 +79,12 @@ class OsModel
     static constexpr size_t kDefaultViolationCap = 1024;
 
     /**
-     * Create the process context: maps the HBT (Table IV: initial
-     * 1-way, 4 MB for a 16-bit PAC). @p hbt_base places the table —
-     * per-process in a multi-tenant setting so tenants never share
-     * metadata cache lines; the resized table goes to the same
-     * fixed offset above it as the single-process default.
+     * Create the process context: maps the HBT at kHbtBase (Table IV:
+     * initial 1-way, 4 MB for a 16-bit PAC).
      */
     explicit OsModel(unsigned pac_bits = 16, unsigned initial_assoc = 1,
                      unsigned records_per_way = bounds::kSlotsPerWay,
-                     FaultPolicy policy = FaultPolicy::kReport,
-                     Addr hbt_base = kDefaultHbtBase);
+                     FaultPolicy policy = FaultPolicy::kReport);
 
     bounds::HashedBoundsTable &hbt() { return _hbt; }
 
@@ -103,8 +99,9 @@ class OsModel
     void setPolicy(FaultPolicy policy) { _policy = policy; }
 
     /**
-     * The retained violation records (at most violationCap() of them,
-     * oldest dropped first). Use violationCount() for the true total.
+     * The retained violation records (at most kDefaultViolationCap of
+     * them, oldest dropped first). Use violationCount() for the true
+     * total.
      */
     const std::vector<ViolationRecord> &violations() const
     {
@@ -117,34 +114,16 @@ class OsModel
     /** Records discarded because the ring was full. */
     u64 violationsDropped() const { return _violationsDropped; }
 
-    size_t violationCap() const { return _violationCap; }
-
-    /** Shrink/grow the ring cap (existing overflow is discarded). */
-    void setViolationCap(size_t cap);
-
-    /**
-     * Process teardown: deterministically release the HBT (storage
-     * freed, table remapped empty at its original base/associativity)
-     * and drop the violation log, so a terminated tenant's slot can be
-     * reused mid-campaign with no state or memory carried over.
-     */
-    void retire();
-
     u64 resizesServiced() const { return _resizes; }
 
   private:
     void logViolation(const ViolationRecord &record);
 
-    unsigned _pacBits;
-    unsigned _initialAssoc;
-    unsigned _recordsPerWay;
-    Addr _hbtBase;
     bounds::HashedBoundsTable _hbt;
     FaultPolicy _policy;
-    // Bounded ring: grows to _violationCap then overwrites the oldest
-    // record (_ringHead is the next overwrite position).
+    // Bounded ring: grows to kDefaultViolationCap then overwrites the
+    // oldest record (_ringHead is the next overwrite position).
     std::vector<ViolationRecord> _violations;
-    size_t _violationCap = kDefaultViolationCap;
     size_t _ringHead = 0;
     u64 _violationCount = 0;
     u64 _violationsDropped = 0;

@@ -8,20 +8,13 @@ PaContext::PaContext(PointerLayout layout, u64 seed)
     : _layout(layout), _cipher(qarma::Sbox::kSigma1, 7),
       _sliced(qarma::Sbox::kSigma1, 7)
 {
-    installKeys(deriveKeys(seed));
-}
-
-KeySet
-PaContext::deriveKeys(u64 seed)
-{
-    KeySet set;
     Rng rng(seed);
-    for (unsigned i = 0; i < 5; ++i) {
-        set.keys[i].w0 = rng.next();
-        set.keys[i].k0 = rng.next();
-        set.scheds[i] = qarma::Qarma64::expandKey(set.keys[i]);
+    for (auto &schedule : _scheds) {
+        qarma::Key128 key;
+        key.w0 = rng.next();
+        key.k0 = rng.next();
+        schedule = qarma::Qarma64::expandKey(key);
     }
-    return set;
 }
 
 u64

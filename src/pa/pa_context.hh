@@ -36,19 +36,6 @@ enum class PaKey { kInstA, kInstB, kDataA, kDataB, kModifierM };
 /** Result of an authentication instruction. */
 enum class AuthResult { kPass, kFail };
 
-/**
- * One process's five architected PA keys plus their expanded QARMA
- * schedules — what the OS saves and restores on a context switch
- * (CryptSan/PACSan per-process key management). Keeping the schedules
- * alongside the keys makes installKeys() a plain copy instead of five
- * key expansions per switch.
- */
-struct KeySet
-{
-    qarma::Key128 keys[5];
-    qarma::Qarma64::Schedule scheds[5];
-};
-
 /** Per-process pointer-authentication state and signing operations. */
 class PaContext
 {
@@ -65,42 +52,7 @@ class PaContext
     void
     setKeyM(const qarma::Key128 &key)
     {
-        _keys[4] = key;
         _scheds[4] = qarma::Qarma64::expandKey(key);
-    }
-
-    /**
-     * Derive a process's key set from @p seed — the same derivation the
-     * constructor performs, exposed so a scheduler can mint per-tenant
-     * keys without building a throwaway context.
-     */
-    static KeySet deriveKeys(u64 seed);
-
-    /** Snapshot the currently installed keys (context-switch save). */
-    KeySet
-    keys() const
-    {
-        KeySet set;
-        for (unsigned i = 0; i < 5; ++i) {
-            set.keys[i] = _keys[i];
-            set.scheds[i] = _scheds[i];
-        }
-        return set;
-    }
-
-    /**
-     * Install @p set into the five architected key slots (context-switch
-     * restore). Every signing/authentication call after this uses the
-     * new process's keys: a pointer signed under the previous keys now
-     * fails key-dependent authentication.
-     */
-    void
-    installKeys(const KeySet &set)
-    {
-        for (unsigned i = 0; i < 5; ++i) {
-            _keys[i] = set.keys[i];
-            _scheds[i] = set.scheds[i];
-        }
     }
 
     const PointerLayout &layout() const { return _layout; }
@@ -130,22 +82,6 @@ class PaContext
      * nonzero AHC (paper SIV-A). Does not strip the pointer.
      */
     AuthResult autm(Addr ptr) const;
-
-    /**
-     * Key-dependent autm (CryptSan/PACSan semantics): the pointer must
-     * carry a nonzero AHC *and* a PAC that verifies under the installed
-     * key M. A pointer signed by one process fails under another
-     * process's keys — the property the multi-tenant scheduler's
-     * key-swap isolation rests on. The plain autm() above models the
-     * paper's AHC-only check and is unchanged.
-     */
-    AuthResult
-    autmKeyed(Addr ptr, u64 modifier) const
-    {
-        return _layout.signed_(ptr) && pacMatches(ptr, modifier)
-                   ? AuthResult::kPass
-                   : AuthResult::kFail;
-    }
 
     /** pacia: sign a code pointer (return address) with key IA. */
     Addr pacia(Addr ptr, u64 modifier) const;
@@ -179,9 +115,9 @@ class PaContext
     PointerLayout _layout;
     qarma::Qarma64 _cipher;
     qarma::QarmaSliced _sliced;
-    qarma::Key128 _keys[5];
-    // Expanded once per key slot: computePac signs millions of pointers
-    // per run, and re-deriving w1/k1 per block is pure waste.
+    // The five architected keys, each held only as its expanded
+    // schedule: computePac signs millions of pointers per run, and
+    // re-deriving w1/k1 per block is pure waste.
     qarma::Qarma64::Schedule _scheds[5];
 };
 

@@ -11,15 +11,15 @@ namespace {
 
 constexpr unsigned kRecentCapacity = 40;
 
+/** First global/stack address. */
+constexpr Addr kGlobalBase = 0x00600000ull;
+
 } // namespace
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
-                                     u64 measure_ops, u64 seed_salt,
-                                     Addr heap_base, Addr global_base)
+                                     u64 measure_ops, u64 seed_salt)
     : _profile(profile),
       _rng(Rng::hashName(profile.name) ^ (seed_salt * 0x9e3779b9ull)),
-      _alloc(heap_base ? heap_base : kDefaultHeapBase),
-      _globalBase(global_base ? global_base : kDefaultGlobalBase),
       _measureOps(measure_ops)
 {
     // Assign per-branch biases: a hard (data-dependent) subset plus a
@@ -157,7 +157,7 @@ SyntheticWorkload::pickGlobalAddr()
     // subset absorbs most accesses, the tail exercises the caches.
     const u64 lines = std::max<u64>(_profile.globalFootprint / 64, 1);
     const u64 line = _rng.skewed(lines);
-    return _globalBase + line * 64 + (_rng.below(64) & ~u64{7});
+    return kGlobalBase + line * 64 + (_rng.below(64) & ~u64{7});
 }
 
 void

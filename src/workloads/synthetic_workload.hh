@@ -35,10 +35,6 @@ namespace aos::workloads {
 class SyntheticWorkload : public ir::InstStream
 {
   public:
-    /** Single-process defaults for the address-space placement knobs. */
-    static constexpr Addr kDefaultHeapBase = 0x20000000ull;
-    static constexpr Addr kDefaultGlobalBase = 0x00600000ull;
-
     /**
      * @param profile Benchmark description.
      * @param measure_ops Steady-phase ops to emit after warmup before
@@ -48,15 +44,9 @@ class SyntheticWorkload : public ir::InstStream
      *        counting instrumented instructions (SVIII).
      * @param seed_salt Extra seed entropy (vary to get independent
      *        instances of the same benchmark).
-     * @param heap_base First simulated heap address (0 = default).
-     *        A multi-tenant scheduler gives each tenant a disjoint
-     *        range so per-process address spaces never alias in the
-     *        shared caches.
-     * @param global_base First global/stack address (0 = default).
      */
     explicit SyntheticWorkload(const WorkloadProfile &profile,
-                               u64 measure_ops = 0, u64 seed_salt = 0,
-                               Addr heap_base = 0, Addr global_base = 0);
+                               u64 measure_ops = 0, u64 seed_salt = 0);
 
     bool next(ir::MicroOp &op) override;
 
@@ -98,7 +88,6 @@ class SyntheticWorkload : public ir::InstStream
     WorkloadProfile _profile;
     Rng _rng;
     alloc::HeapAllocator _alloc;
-    Addr _globalBase = kDefaultGlobalBase;
     // FIFO of generated ops: refill() appends, next() reads through a
     // head cursor and the buffer is recycled once drained (refill is
     // only ever called on an empty buffer, so a ring is not needed).
