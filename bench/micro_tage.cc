@@ -1,7 +1,7 @@
 /**
  * @file
- * Microbenchmark: TAGE predict+update throughput, which bounds the
- * timing simulator's own speed on branch-heavy workloads.
+ * Microbenchmark: TAGE resolve (predict + train) throughput, which
+ * bounds the timing simulator's own speed on branch-heavy workloads.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,7 @@ using namespace aos::cpu;
 namespace {
 
 void
-BM_TagePredictUpdate(benchmark::State &state)
+BM_TageResolve(benchmark::State &state)
 {
     Tage tage;
     Rng rng(1);
@@ -27,8 +27,7 @@ BM_TagePredictUpdate(benchmark::State &state)
         const u64 b = rng.below(branches);
         const Addr pc = 0x400000 + b * 4;
         const bool taken = rng.chance(bias[b]);
-        benchmark::DoNotOptimize(tage.predict(pc));
-        tage.update(pc, taken);
+        benchmark::DoNotOptimize(tage.resolve(pc, taken));
     }
     state.SetItemsProcessed(state.iterations());
     state.counters["mispredict_rate"] = tage.stats().mispredictRate();
@@ -36,7 +35,7 @@ BM_TagePredictUpdate(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_TagePredictUpdate)
+BENCHMARK(BM_TageResolve)
     ->Arg(16)
     ->Arg(256)
     ->Arg(4096)

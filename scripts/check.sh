@@ -4,11 +4,11 @@
 # (campaign pool, checkpoint writer, logging), campaign-engine smoke
 # (JSON emission + serial/parallel parity), fault-matrix smoke
 # (graceful-degradation audit under sanitizers), bounds-elision
-# ablation (obligation gates + jobs parity), simulator-throughput
-# regression guard, crash-resume check (SIGKILL mid-campaign +
-# AOS_CAMPAIGN_RESUME byte parity), chaos-engine check (deterministic
-# AOS_CHAOS fault injection with byte parity + the graceful-degradation
-# audit) and clang-tidy lint. Run from the repository root:
+# ablation (obligation gates + jobs parity), crash-resume check
+# (SIGKILL mid-campaign + AOS_CAMPAIGN_RESUME byte parity), chaos-engine
+# check (deterministic AOS_CHAOS fault injection with byte parity + the
+# graceful-degradation audit) and clang-tidy lint. Run from the
+# repository root:
 #
 #   scripts/check.sh              # everything
 #   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip ASan and TSan
@@ -23,18 +23,18 @@ cd "$(dirname "$0")/.."
 
 JOBS="${AOS_CHECK_JOBS:-$(nproc)}"
 
-echo "== [1/11] default build =="
+echo "== [1/10] default build =="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 
-echo "== [2/11] tier-1 tests =="
+echo "== [2/10] tier-1 tests =="
 ctest --preset default -j "${JOBS}"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [3/11] sanitizer build + fast tests (ASan+UBSan) =="
+    echo "== [3/10] sanitizer build + fast tests (ASan+UBSan) =="
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
@@ -44,11 +44,11 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
-    echo "== [3/11] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [3/10] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [4/11] thread-sanitizer pass (TSan) =="
+    echo "== [4/10] thread-sanitizer pass (TSan) =="
     # The campaign worker pool, checkpoint writer and logging sinks are
     # the only concurrent subsystems: build exactly what exercises
     # them, run their suites, then drive a jobs=4 campaign end to end
@@ -65,7 +65,7 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/tsan-smoke.json"
     echo "tsan: concurrency suites OK"
 else
-    echo "== [4/11] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [4/10] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 # Strip the timing-only fields (each JSON member is on its own line)
@@ -80,7 +80,7 @@ json_parity() {
     fi
 }
 
-echo "== [5/11] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
+echo "== [5/10] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/serial.json" ./build/bench/campaign_smoke
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
@@ -91,7 +91,7 @@ json_parity "${SMOKE_DIR}/serial.json" "${SMOKE_DIR}/parallel.json" \
     "campaign smoke"
 echo "campaign smoke: parity OK"
 
-echo "== [6/11] fault-matrix smoke (DESIGN.md §8 audit) =="
+echo "== [6/10] fault-matrix smoke (DESIGN.md §8 audit) =="
 # Run the graceful-degradation audit under the sanitizer build when
 # available — injected corruption must be UB-free, not just survivable.
 FAULT_BIN=./build/bench/fault_matrix
@@ -107,7 +107,7 @@ json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
     "fault matrix"
 echo "fault matrix: audit + parity OK"
 
-echo "== [7/11] bounds-elision ablation (obligation gates + parity) =="
+echo "== [7/10] bounds-elision ablation (obligation gates + parity) =="
 # The benchmark itself exits non-zero if any ObligationChecker gate
 # fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
 # the determinism contract on top.
@@ -122,50 +122,7 @@ json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
     "bounds elision"
 echo "bounds elision: gates + parity OK"
 
-echo "== [8/11] simulator throughput guard =="
-# Smoke-mode run of the host-throughput benchmark against the
-# checked-in baseline: the per-mechanism ops/sec geomeans may not drop
-# more than the guard band below scripts/throughput_baseline.json
-# (generated with these exact settings). The wide band absorbs host
-# noise; a hot-path regression overshoots it.
-AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/throughput.json" \
-    ./build/bench/sim_throughput
-reducer_value() {
-    # Line-oriented JSON: find the reducer's "name" line, print the
-    # "value" member that follows within the same object.
-    awk -v key="$2" '
-        index($0, "\"name\": \"" key "\"") { grab = 1 }
-        grab && /"value":/ { gsub(/[",]/, "", $2); print $2; exit }
-    ' "$1"
-}
-THROUGHPUT_GUARD_OK=1
-for mech in Baseline Watchdog PA AOS "PA+AOS"; do
-    base="$(reducer_value scripts/throughput_baseline.json \
-            "ops_per_sec_${mech}")"
-    now="$(reducer_value "${SMOKE_DIR}/throughput.json" \
-           "ops_per_sec_${mech}")"
-    if [ -z "${base}" ] || [ -z "${now}" ]; then
-        echo "throughput guard: missing ops_per_sec_${mech} reducer" >&2
-        THROUGHPUT_GUARD_OK=0
-        continue
-    fi
-    if ! awk -v now="${now}" -v base="${base}" -v mech="${mech}" '
-        BEGIN {
-            floor = 0.70 * base
-            printf "  %-10s %12.0f ops/s (baseline %12.0f, floor %.0f)\n", \
-                   mech, now, base, floor
-            exit !(now >= floor)
-        }'
-    then
-        echo "throughput guard: ${mech} regressed beyond the 30% band" >&2
-        THROUGHPUT_GUARD_OK=0
-    fi
-done
-[ "${THROUGHPUT_GUARD_OK}" = "1" ] || exit 1
-echo "throughput guard: OK"
-
-echo "== [9/11] crash-resume (SIGKILL mid-campaign, resume, parity) =="
+echo "== [8/10] crash-resume (SIGKILL mid-campaign, resume, parity) =="
 # Kill a checkpointed campaign once its first record is durable, resume
 # it with AOS_CAMPAIGN_RESUME, and require the canonical JSON to be
 # byte-identical to an uninterrupted run (DESIGN.md §10).
@@ -218,9 +175,8 @@ resume_check() {
 resume_check fig14 ./build/bench/fig14_exec_time 1 20000
 resume_check fig14 ./build/bench/fig14_exec_time 4 20000
 resume_check fault_matrix "${FAULT_BIN}" 4 20000
-resume_check sim_throughput ./build/bench/sim_throughput 4 20000
 
-echo "== [10/11] chaos engine (fault injection + degradation audit) =="
+echo "== [9/10] chaos engine (fault injection + degradation audit) =="
 # DESIGN.md §13: under a fixed AOS_CHAOS schedule every subsystem must
 # either absorb the injected environment faults (retry/backoff) or
 # abort cleanly — and whenever a campaign reports success its canonical
@@ -269,7 +225,7 @@ if ! cmp -s "${CHAOS_DIR}/audit1.json" "${CHAOS_DIR}/auditN.json"; then
 fi
 echo "  chaos_audit: degradation audit + parity OK"
 
-echo "== [11/11] lint =="
+echo "== [10/10] lint =="
 cmake --build --preset default --target lint
 
 echo "All checks passed."

@@ -45,8 +45,7 @@ OoOCore::execLatency(const ir::MicroOp &op, Tick now)
         return 1;
       case ir::OpKind::kBranch: {
         const Addr pc = 0x400000 + static_cast<Addr>(op.branchId) * 4;
-        const bool predicted = _tage.predict(pc);
-        _tage.update(pc, op.taken);
+        const bool predicted = _tage.resolve(pc, op.taken);
         ++_stats.branches;
         if (predicted != op.taken) {
             ++_stats.mispredicts;

@@ -111,8 +111,7 @@ class OoOCore
     observeBranch(u32 branch_id, bool taken)
     {
         const Addr pc = 0x400000 + static_cast<Addr>(branch_id) * 4;
-        _tage.predict(pc);
-        _tage.update(pc, taken);
+        _tage.resolve(pc, taken);
     }
 
   private:

@@ -1,125 +1,86 @@
 #include "cpu/tage.hh"
 
-#include "common/bitfield.hh"
-
 namespace aos::cpu {
 
-Tage::Tage()
-    : _bimodal(u64{1} << kBaseBits, 2), _histLen{5, 15, 44, 130},
-      _history(kHistoryBits, false)
+Tage::Tage() : _bimodal(u64{1} << kBaseBits, 2)
 {
-    for (auto &table : _tables)
-        table.resize(u64{1} << kTableBits);
-}
-
-u64
-Tage::foldedHistory(unsigned table, unsigned out_bits) const
-{
-    // XOR-fold the most recent histLen bits down to out_bits.
-    u64 folded = 0;
-    u64 chunk = 0;
-    unsigned filled = 0;
-    const unsigned len = _histLen[table];
-    for (unsigned i = 0; i < len; ++i) {
-        chunk = (chunk << 1) | (_history[i] ? 1 : 0);
-        if (++filled == out_bits) {
-            folded ^= chunk;
-            chunk = 0;
-            filled = 0;
-        }
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        _tables[t].resize(u64{1} << kTableBits);
+        _indexFold[t] = FoldedHistory(kHistLen[t], kTableBits);
+        _tagFold[t] = FoldedHistory(kHistLen[t], kTagBits);
+        _tagFoldShort[t] = FoldedHistory(kHistLen[t], kTagBits - 1);
     }
-    if (filled)
-        folded ^= chunk;
-    return folded & mask(out_bits);
 }
 
-u64
-Tage::tableIndex(Addr pc, unsigned table) const
+Tage::Lookup
+Tage::lookup(Addr pc) const
 {
-    const u64 h = foldedHistory(table, kTableBits);
-    return ((pc >> 2) ^ (pc >> (kTableBits - table)) ^ h) &
-           mask(kTableBits);
-}
+    Lookup l;
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        l.index[t] = ((pc >> 2) ^ (pc >> (kTableBits - t)) ^
+                      _indexFold[t].value()) &
+                     mask(kTableBits);
+        const u64 h = _tagFold[t].value() ^ (_tagFoldShort[t].value() << 1);
+        l.tag[t] = static_cast<u16>(((pc >> 2) ^ h) & mask(kTagBits));
+    }
 
-u16
-Tage::tableTag(Addr pc, unsigned table) const
-{
-    const u64 h = foldedHistory(table, kTagBits);
-    const u64 h2 = foldedHistory(table, kTagBits - 1) << 1;
-    return static_cast<u16>(((pc >> 2) ^ h ^ h2) & mask(kTagBits));
-}
-
-bool
-Tage::predict(Addr pc)
-{
-    ++_stats.lookups;
-    _lastPc = pc;
-    _providerTable = -1;
-
-    const u64 base_idx = (pc >> 2) & mask(kBaseBits);
-    const bool base_pred = _bimodal[base_idx] >= 2;
-    bool pred = base_pred;
-    bool alt = base_pred;
+    l.baseIndex = (pc >> 2) & mask(kBaseBits);
+    const bool base_pred = _bimodal[l.baseIndex] >= 2;
+    l.altPred = base_pred;
 
     // Longest history match provides; second longest is the alternate.
     for (int t = kNumTables - 1; t >= 0; --t) {
-        const u64 idx = tableIndex(pc, t);
-        const TaggedEntry &entry = _tables[t][idx];
-        if (entry.valid && entry.tag == tableTag(pc, t)) {
-            if (_providerTable < 0) {
-                _providerTable = t;
-                _providerIndex = idx;
-                _providerPred = entry.ctr >= 0;
+        const TaggedEntry &entry = _tables[t][l.index[t]];
+        if (entry.valid && entry.tag == l.tag[t]) {
+            if (l.provider < 0) {
+                l.provider = t;
+                l.providerPred = entry.ctr >= 0;
             } else {
-                alt = entry.ctr >= 0;
+                l.altPred = entry.ctr >= 0;
                 break;
             }
         }
     }
 
-    if (_providerTable >= 0) {
-        ++_stats.providerTagged;
-        const TaggedEntry &entry = _tables[_providerTable][_providerIndex];
-        const bool weak = entry.ctr == 0 || entry.ctr == -1;
-        // Newly allocated, weak entries may be less reliable than the
-        // alternate prediction (TAGE's use_alt_on_na heuristic).
-        if (weak && entry.useful == 0 && _useAltOnNa >= 8)
-            pred = alt;
-        else
-            pred = _providerPred;
-        _altPred = alt;
-    } else {
-        _altPred = base_pred;
-        pred = base_pred;
+    if (l.provider < 0) {
+        l.prediction = base_pred;
+        return l;
     }
+    const TaggedEntry &entry = _tables[l.provider][l.index[l.provider]];
+    const bool weak = entry.ctr == 0 || entry.ctr == -1;
+    // Newly allocated, weak entries may be less reliable than the
+    // alternate prediction (TAGE's use_alt_on_na heuristic).
+    l.prediction = weak && entry.useful == 0 && _useAltOnNa >= 8
+                       ? l.altPred
+                       : l.providerPred;
+    return l;
+}
 
-    _lastPrediction = pred;
-    return pred;
+bool
+Tage::resolve(Addr pc, bool taken)
+{
+    const Lookup l = lookup(pc);
+    ++_stats.lookups;
+    if (l.provider >= 0)
+        ++_stats.providerTagged;
+    if (l.prediction != taken)
+        ++_stats.mispredicts;
+    train(l, taken);
+    return l.prediction;
 }
 
 void
-Tage::update(Addr pc, bool taken)
+Tage::train(const Lookup &l, bool taken)
 {
-    if (pc != _lastPc) {
-        // Out-of-sync train (shouldn't happen with the core's usage);
-        // just refresh the context.
-        predict(pc);
-    }
-
-    if (_lastPrediction != taken)
-        ++_stats.mispredicts;
-
-    const u64 base_idx = (pc >> 2) & mask(kBaseBits);
-
     // Update the provider (or the bimodal table).
-    if (_providerTable >= 0) {
-        TaggedEntry &entry = _tables[_providerTable][_providerIndex];
+    if (l.provider >= 0) {
+        TaggedEntry &entry = _tables[l.provider][l.index[l.provider]];
         if (taken && entry.ctr < 3)
             ++entry.ctr;
         else if (!taken && entry.ctr > -4)
             --entry.ctr;
-        if (_providerPred != _altPred) {
-            if (_providerPred == taken) {
+        if (l.providerPred != l.altPred) {
+            if (l.providerPred == taken) {
                 if (entry.useful < 3)
                     ++entry.useful;
             } else if (entry.useful > 0) {
@@ -128,7 +89,7 @@ Tage::update(Addr pc, bool taken)
             // Track whether alt would have been better for new entries.
             const bool weak = entry.ctr == 0 || entry.ctr == -1;
             if (weak && entry.useful == 0) {
-                if (_altPred == taken) {
+                if (l.altPred == taken) {
                     if (_useAltOnNa < 15)
                         ++_useAltOnNa;
                 } else if (_useAltOnNa > 0) {
@@ -137,7 +98,7 @@ Tage::update(Addr pc, bool taken)
             }
         }
     } else {
-        u8 &ctr = _bimodal[base_idx];
+        u8 &ctr = _bimodal[l.baseIndex];
         if (taken && ctr < 3)
             ++ctr;
         else if (!taken && ctr > 0)
@@ -145,15 +106,14 @@ Tage::update(Addr pc, bool taken)
     }
 
     // Allocate a longer-history entry on a mispredict.
-    if (_lastPrediction != taken && _providerTable < 3) {
+    if (l.prediction != taken && l.provider < 3) {
         bool allocated = false;
-        for (unsigned t = _providerTable + 1; t < kNumTables && !allocated;
+        for (unsigned t = l.provider + 1; t < kNumTables && !allocated;
              ++t) {
-            const u64 idx = tableIndex(pc, t);
-            TaggedEntry &entry = _tables[t][idx];
+            TaggedEntry &entry = _tables[t][l.index[t]];
             if (!entry.valid || entry.useful == 0) {
                 entry.valid = true;
-                entry.tag = tableTag(pc, t);
+                entry.tag = l.tag[t];
                 entry.ctr = taken ? 0 : -1;
                 entry.useful = 0;
                 allocated = true;
@@ -161,8 +121,8 @@ Tage::update(Addr pc, bool taken)
         }
         if (!allocated) {
             // Decay usefulness so future allocations can succeed.
-            for (unsigned t = _providerTable + 1; t < kNumTables; ++t) {
-                TaggedEntry &entry = _tables[t][tableIndex(pc, t)];
+            for (unsigned t = l.provider + 1; t < kNumTables; ++t) {
+                TaggedEntry &entry = _tables[t][l.index[t]];
                 if (entry.useful > 0)
                     --entry.useful;
             }
@@ -177,10 +137,13 @@ Tage::update(Addr pc, bool taken)
         }
     }
 
-    // Shift the outcome into global history (newest at index 0).
-    for (unsigned i = kHistoryBits - 1; i > 0; --i)
-        _history[i] = _history[i - 1];
-    _history[0] = taken;
+    // Fold the outcome in, then shift it into the global history.
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        _indexFold[t].update(_history, taken);
+        _tagFold[t].update(_history, taken);
+        _tagFoldShort[t].update(_history, taken);
+    }
+    _history.push(taken);
 }
 
 } // namespace aos::cpu

@@ -65,6 +65,14 @@ struct FuzzCase
     unsigned pacBits;
 };
 
+// Print a case by its fields rather than as raw bytes (which include
+// uninitialised padding), so the listed test names are the same in
+// every build.
+void PrintTo(const FuzzCase &c, std::ostream *os)
+{
+    *os << "seed " << c.seed << ", pacBits " << c.pacBits;
+}
+
 class DifferentialFuzz : public ::testing::TestWithParam<FuzzCase>
 {
 };

@@ -347,6 +347,15 @@ struct McuSweepCase
     unsigned assoc;
 };
 
+// Print a case by its fields rather than as raw bytes (which include
+// uninitialised padding), so the listed test names are the same in
+// every build.
+void PrintTo(const McuSweepCase &c, std::ostream *os)
+{
+    *os << "ports " << c.ports << ", bwb " << c.bwb << ", forwarding "
+        << c.forwarding << ", assoc " << c.assoc;
+}
+
 class McuConfigSweep : public ::testing::TestWithParam<McuSweepCase>
 {
 };
