@@ -1,5 +1,7 @@
 #include "analysis/dataflow/elision_plan.hh"
 
+#include "common/logging.hh"
+
 namespace aos::analysis::dataflow {
 
 ElisionPlan
@@ -7,8 +9,33 @@ planBoundsElision(const DataflowEngine &engine)
 {
     ElisionPlan plan;
     PlanStats &st = plan._stats;
+    const std::vector<ChunkSummary> &sums = engine.summaries();
+    panic_if(sums.size() >= ElisionPlan::kNoObligation,
+             "bounds-elision plan: %zu chunk instances overflow its "
+             "32-bit index", sums.size());
 
-    for (const ChunkSummary &sum : engine.summaries()) {
+    // The engine numbers each base's instances 1, 2, ... in allocation
+    // order. Walking the summaries newest first, a base's first
+    // sighting is its newest instance, whose generation is the base's
+    // instance count: give the base that many consecutive slots then.
+    std::vector<u32> slot_of(sums.size());
+    u32 next_slot = 0;
+    for (size_t i = sums.size(); i-- > 0;) {
+        const ChunkId &id = sums[i].id;
+        ElisionPlan::Timeline &t = plan._timelines[id.base];
+        if (t.gens == 0) {
+            t.first = next_slot;
+            t.gens = id.gen;
+            next_slot += id.gen;
+        }
+        slot_of[i] = t.first + (id.gen - 1);
+    }
+    plan._slots.assign(sums.size(), ElisionPlan::kNoObligation);
+    // Untouched capacity costs no memory; growth would copy.
+    plan._obligations.reserve(sums.size());
+
+    for (size_t i = 0; i < sums.size(); ++i) {
+        const ChunkSummary &sum = sums[i];
         ++st.chunksSeen;
 
         // Each reject counter names the *first* failed assumption, so
@@ -45,8 +72,8 @@ planBoundsElision(const DataflowEngine &engine)
             ob.minOff = sum.range.lo();
             ob.maxOff = sum.range.hi();
         }
-        plan._byChunk[{sum.id.base, sum.id.gen}] =
-            plan._obligations.size();
+        plan._slots[slot_of[i]] =
+            static_cast<u32>(plan._obligations.size());
         plan._obligations.push_back(ob);
         ++st.chunksElided;
     }

@@ -30,11 +30,10 @@
 #ifndef AOS_ANALYSIS_DATAFLOW_ELISION_PLAN_HH
 #define AOS_ANALYSIS_DATAFLOW_ELISION_PLAN_HH
 
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "analysis/dataflow/engine.hh"
+#include "common/flat_map.hh"
 
 namespace aos::analysis::dataflow {
 
@@ -78,23 +77,32 @@ struct PlanStats
     }
 };
 
-/** The pass-facing result: per-instance elision verdicts. */
+/**
+ * The pass-facing result: per-instance elision verdicts.
+ *
+ * The index is exact, with no hashing of (base, gen) into one key: a
+ * FlatU64Map keyed by the base alone names the base's run of slots in
+ * _slots, one slot per generation, and each slot holds the index of
+ * that instance's obligation (or kNoObligation).
+ */
 class ElisionPlan
 {
   public:
     bool
     elided(Addr base, u32 gen) const
     {
-        return _byChunk.count({base, gen}) != 0;
+        return find(base, gen) != nullptr;
     }
 
     /** The obligation for (base, gen), or nullptr if not elided. */
     const ProofObligation *
     find(Addr base, u32 gen) const
     {
-        auto it = _byChunk.find({base, gen});
-        return it == _byChunk.end() ? nullptr
-                                    : &_obligations[it->second];
+        const Timeline *t = _timelines.find(base);
+        if (t == nullptr || gen == 0 || gen > t->gens)
+            return nullptr;
+        const u32 ob = _slots[t->first + (gen - 1)];
+        return ob == kNoObligation ? nullptr : &_obligations[ob];
     }
 
     const std::vector<ProofObligation> &obligations() const
@@ -108,8 +116,18 @@ class ElisionPlan
   private:
     friend ElisionPlan planBoundsElision(const DataflowEngine &engine);
 
+    static constexpr u32 kNoObligation = ~u32{0};
+
+    /** A base's instances: slots [first, first + gens) of _slots. */
+    struct Timeline
+    {
+        u32 first = 0;
+        u32 gens = 0;
+    };
+
     std::vector<ProofObligation> _obligations;
-    std::map<std::pair<Addr, u32>, size_t> _byChunk;
+    FlatU64Map<Timeline> _timelines;
+    std::vector<u32> _slots; //!< Per instance: obligation index.
     PlanStats _stats;
 };
 

@@ -1,46 +1,39 @@
 #include "analysis/dataflow/engine.hh"
 
+#include <iterator>
+
 #include "bounds/compression.hh"
 
 namespace aos::analysis::dataflow {
 
 namespace {
 
-/** Cancellation-poll stride inside run(); power of two. */
-constexpr u64 kCancelStride = 4096;
+/** Ops pulled per nextBatch() in run(); one cancel poll per block. */
+constexpr size_t kBlock = 1024;
 
 } // namespace
-
-DataflowEngine::DataflowEngine(const pa::PointerLayout &layout)
-    : DataflowEngine(layout, Options())
-{
-}
-
-DataflowEngine::DataflowEngine(const pa::PointerLayout &layout,
-                               Options options)
-    : _layout(layout), _options(options)
-{
-}
 
 ChunkSummary *
 DataflowEngine::openAt(Addr base)
 {
-    auto it = _open.find(base);
-    return it == _open.end() ? nullptr : &_summaries[it->second];
+    BaseState *st = _bases.find(base);
+    return st && st->open ? &_summaries[st->latest] : nullptr;
 }
 
 size_t
 DataflowEngine::coveringIndex(Addr raw) const
 {
     // _extents is keyed by base: the candidate is the greatest base
-    // <= raw; it covers raw iff raw < its recorded end.
-    auto it = _extents.upper_bound(raw);
-    if (it == _extents.begin())
+    // <= raw; it covers raw iff raw < its recorded end. Both ends of
+    // the map are O(1), and they answer most queries: global accesses
+    // lie below every heap chunk, and the allocator's header stores
+    // land above the newest chunk while the heap grows.
+    if (_extents.empty() || raw < _extents.begin()->first)
         return _summaries.size();
-    --it;
-    if (raw >= it->first && raw < it->second.first)
-        return it->second.second;
-    return _summaries.size();
+    auto it = std::prev(_extents.end());
+    if (raw < it->first)
+        it = std::prev(_extents.upper_bound(raw));
+    return raw < it->second.first ? it->second.second : _summaries.size();
 }
 
 void
@@ -49,16 +42,16 @@ DataflowEngine::onMalloc(const ir::MicroOp &op)
     const Addr base = op.chunkBase;
     if (base == 0)
         return;
+    BaseState &st = _bases[base];
     // A re-allocation at a still-open base means the allocator model
     // and the stream disagree; close the stale instance defensively.
-    if (ChunkSummary *stale = openAt(base)) {
-        stale->escape.onUnknownAlias();
-        _open.erase(base);
+    if (st.open) {
+        _summaries[st.latest].escape.onUnknownAlias();
         _extents.erase(base);
     }
 
     ChunkSummary sum;
-    sum.id = ChunkId{base, ++_gen[base]};
+    sum.id = ChunkId{base, ++st.gen};
     sum.size = op.size;
     sum.mallocOp = _opIndex;
     sum.lastOp = _opIndex;
@@ -66,8 +59,8 @@ DataflowEngine::onMalloc(const ir::MicroOp &op)
 
     const size_t idx = _summaries.size();
     _summaries.push_back(sum);
-    _open[base] = idx;
-    _last[base] = idx;
+    st.latest = idx;
+    st.open = true;
     if (sum.size)
         _extents[base] = {base + sum.size, idx};
 }
@@ -78,25 +71,22 @@ DataflowEngine::onFree(const ir::MicroOp &op)
     const Addr base = op.chunkBase;
     if (base == 0)
         return;
-    if (ChunkSummary *sum = openAt(base)) {
-        ++sum->freeCount;
-        sum->freeOp = _opIndex;
-        sum->lastOp = _opIndex;
-        _open.erase(base);
+    BaseState *st = _bases.find(base);
+    if (st == nullptr) {
+        ++_invalidFrees;
+        return;
+    }
+    // Freeing a base whose instance is already closed is the second
+    // free of a double-free pair: it is attributed to the latest
+    // instance so the plan rejects it as temporally unsafe.
+    ChunkSummary &sum = _summaries[st->latest];
+    ++sum.freeCount;
+    sum.lastOp = _opIndex;
+    if (st->open) {
+        sum.freeOp = _opIndex;
+        st->open = false;
         _extents.erase(base);
-        return;
     }
-    auto it = _last.find(base);
-    if (it != _last.end()) {
-        // Freeing a base whose instance is already closed: the second
-        // free of a double-free pair, attributed to the latest
-        // instance so the plan rejects it as temporally unsafe.
-        ChunkSummary &sum = _summaries[it->second];
-        ++sum.freeCount;
-        sum.lastOp = _opIndex;
-        return;
-    }
-    ++_invalidFrees;
 }
 
 void
@@ -115,17 +105,16 @@ DataflowEngine::onAccess(const ir::MicroOp &op)
         return;
     }
 
-    ChunkSummary *sum = openAt(op.chunkBase);
-    if (sum == nullptr) {
-        auto it = _last.find(op.chunkBase);
-        if (it == _last.end()) {
-            ++_orphanAccesses;
-            return;
-        }
+    const BaseState *st = _bases.find(op.chunkBase);
+    if (st == nullptr) {
+        ++_orphanAccesses;
+        return;
+    }
+    ChunkSummary *sum = &_summaries[st->latest];
+    if (!st->open) {
         // Access attributed to a freed instance: use-after-free.
-        ChunkSummary &stale = _summaries[it->second];
-        ++stale.accessesAfterFree;
-        stale.lastOp = _opIndex;
+        ++sum->accessesAfterFree;
+        sum->lastOp = _opIndex;
         return;
     }
 
@@ -183,12 +172,6 @@ DataflowEngine::step(const ir::MicroOp &op)
       case ir::OpKind::kAutm:
         onAutm(op);
         break;
-      case ir::OpKind::kCall:
-        if (_options.escapeOpenChunksOnCall) {
-            for (auto &[base, idx] : _open)
-                _summaries[idx].escape.onPassedThroughCall();
-        }
-        break;
       default:
         break;
     }
@@ -198,13 +181,14 @@ DataflowEngine::step(const ir::MicroOp &op)
 u64
 DataflowEngine::run(ir::InstStream &stream, const CancelToken *cancel)
 {
-    ir::MicroOp op;
+    std::vector<ir::MicroOp> buf(kBlock);
     u64 consumed = 0;
-    while (stream.next(op)) {
-        if (cancel && (consumed & (kCancelStride - 1)) == 0)
+    for (size_t n; (n = stream.nextBatch(buf.data(), kBlock)) != 0;) {
+        if (cancel)
             cancel->throwIfCancelled();
-        step(op);
-        ++consumed;
+        for (size_t i = 0; i < n; ++i)
+            step(buf[i]);
+        consumed += n;
     }
     return consumed;
 }
@@ -212,8 +196,8 @@ DataflowEngine::run(ir::InstStream &stream, const CancelToken *cancel)
 const ChunkSummary *
 DataflowEngine::current(Addr base) const
 {
-    auto it = _open.find(base);
-    return it == _open.end() ? nullptr : &_summaries[it->second];
+    const BaseState *st = _bases.find(base);
+    return st && st->open ? &_summaries[st->latest] : nullptr;
 }
 
 ProvenanceValue

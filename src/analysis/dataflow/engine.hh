@@ -22,19 +22,22 @@
  * (MicroOp::loadsPointer) and unknown-provenance aliasing (an access
  * with chunkBase == 0 whose address lands inside a live chunk). The
  * store-to-memory and call transfers of EscapeState exist for richer
- * front-ends; Options::escapeOpenChunksOnCall gives the maximally
- * conservative call treatment for callers that want it.
+ * front-ends; this IR's kCall carries no pointer arguments, so calls
+ * transfer nothing here.
+ *
+ * Per-base state is one FlatU64Map probe per attributed op: the newest
+ * instance's summary index, its generation and whether it is live.
  */
 
 #ifndef AOS_ANALYSIS_DATAFLOW_ENGINE_HH
 #define AOS_ANALYSIS_DATAFLOW_ENGINE_HH
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/dataflow/domains.hh"
 #include "common/cancel.hh"
+#include "common/flat_map.hh"
 #include "ir/micro_op.hh"
 #include "pa/pointer_layout.hh"
 
@@ -62,22 +65,18 @@ struct ChunkSummary
 class DataflowEngine
 {
   public:
-    struct Options
+    explicit DataflowEngine(const pa::PointerLayout &layout)
+        : _layout(layout)
     {
-        /** Treat every kCall as escaping all live chunks (the most
-         *  conservative call transfer; off for this repo's IR). */
-        bool escapeOpenChunksOnCall = false;
-    };
-
-    explicit DataflowEngine(const pa::PointerLayout &layout);
-    DataflowEngine(const pa::PointerLayout &layout, Options options);
+    }
 
     /** Transfer one op through all domains. */
     void step(const ir::MicroOp &op);
 
     /**
-     * Drain @p stream through step(). Polls @p cancel periodically so
-     * campaign jobs stay preemptible. Returns ops consumed.
+     * Drain @p stream through step(), pulling it in blocks. Polls
+     * @p cancel once per block so campaign jobs stay preemptible.
+     * Returns ops consumed.
      */
     u64 run(ir::InstStream &stream, const CancelToken *cancel = nullptr);
 
@@ -107,13 +106,18 @@ class DataflowEngine
     /** Summary index of the live chunk whose extent covers @p raw. */
     size_t coveringIndex(Addr raw) const;
 
+    /** The timeline of instances allocated at one base. */
+    struct BaseState
+    {
+        size_t latest = 0; //!< Summary index of the newest instance.
+        u32 gen = 0;       //!< Instances allocated here so far.
+        bool open = false; //!< The newest instance is not yet freed.
+    };
+
     const pa::PointerLayout &_layout;
-    Options _options;
 
     std::vector<ChunkSummary> _summaries;
-    std::unordered_map<Addr, u32> _gen;       //!< Next-gen per base.
-    std::unordered_map<Addr, size_t> _open;   //!< base -> live summary.
-    std::unordered_map<Addr, size_t> _last;   //!< base -> latest summary.
+    FlatU64Map<BaseState> _bases;
     /** Live extents for alias lookup: base -> (end, summary index). */
     std::map<Addr, std::pair<Addr, size_t>> _extents;
 

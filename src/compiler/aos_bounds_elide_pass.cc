@@ -15,12 +15,9 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
         // Generation bookkeeping must mirror the DataflowEngine's so
         // plan verdicts attach to the same instances.
         if (in.chunkBase != 0) {
-            const u32 gen = ++_gen[in.chunkBase];
-            _freeing.erase(in.chunkBase);
-            if (_plan->elided(in.chunkBase, gen))
-                _elidedOpen.insert(in.chunkBase);
-            else
-                _elidedOpen.erase(in.chunkBase);
+            BaseState &st = _bases[in.chunkBase];
+            st.freeing = false;
+            st.elidedOpen = _plan->elided(in.chunkBase, ++st.gen);
         }
         emit(in);
         return;
@@ -34,15 +31,16 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
                 ++_stats.pacmaElided;
                 return;
             }
-        } else if (in.size == 0 &&
-                   _freeing.count(_layout.strip(in.addr))) {
-            // Free-side re-sign of an elided chunk's pointer: the
-            // last op of the free quadruple; the instance is closed.
-            const Addr base = _layout.strip(in.addr);
-            _freeing.erase(base);
-            _elidedOpen.erase(base);
-            ++_stats.pacmaElided;
-            return;
+        } else if (in.size == 0) {
+            if (BaseState *st = freeing(_layout.strip(in.addr))) {
+                // Free-side re-sign of an elided chunk's pointer: the
+                // last op of the free quadruple; the instance is
+                // closed.
+                st->freeing = false;
+                st->elidedOpen = false;
+                ++_stats.pacmaElided;
+                return;
+            }
         }
         emit(in);
         return;
@@ -58,16 +56,17 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
 
       case ir::OpKind::kBndclr:
         ++_stats.bndclrSeen;
-        if (in.chunkBase != 0 && elidedOpen(in.chunkBase)) {
+        // Base 0 is never tracked, so it finds no state here.
+        if (BaseState *st = elidedOpen(in.chunkBase)) {
             ++_stats.bndclrElided;
-            _freeing.insert(in.chunkBase);
+            st->freeing = true;
             return;
         }
         emit(in);
         return;
 
       case ir::OpKind::kXpacm:
-        if (_freeing.count(_layout.strip(in.addr))) {
+        if (freeing(_layout.strip(in.addr))) {
             ++_stats.xpacmElided;
             return;
         }

@@ -31,10 +31,8 @@
 #ifndef AOS_COMPILER_AOS_BOUNDS_ELIDE_PASS_HH
 #define AOS_COMPILER_AOS_BOUNDS_ELIDE_PASS_HH
 
-#include "common/flat_map.hh"
-#include <unordered_set>
-
 #include "analysis/dataflow/elision_plan.hh"
+#include "common/flat_map.hh"
 #include "compiler/pass.hh"
 #include "pa/pointer_layout.hh"
 
@@ -81,20 +79,37 @@ class AosBoundsElidePass : public Pass
     void transform(const ir::MicroOp &in) override;
 
   private:
-    bool elidedOpen(Addr base) const
+    /** What the pass tracks per chunk base. */
+    struct BaseState
     {
-        return _elidedOpen.count(base) != 0;
+        /** Allocation ordinal; must mirror DataflowEngine. */
+        u32 gen = 0;
+        /** The *current* instance is elided. */
+        bool elidedOpen = false;
+        /** Elided, between its bndclr and its re-sign pacma. */
+        bool freeing = false;
+    };
+
+    /** The state of @p base if its current instance is elided. */
+    BaseState *
+    elidedOpen(Addr base)
+    {
+        BaseState *st = _bases.find(base);
+        return st && st->elidedOpen ? st : nullptr;
+    }
+
+    /** The state of @p base if it is between bndclr and re-sign. */
+    BaseState *
+    freeing(Addr base)
+    {
+        BaseState *st = _bases.find(base);
+        return st && st->freeing ? st : nullptr;
     }
 
     pa::PointerLayout _layout;
     const analysis::dataflow::ElisionPlan *_plan;
 
-    /** Allocation ordinal per base; must mirror DataflowEngine. */
-    FlatU64Map<u32> _gen;
-    /** Bases whose *current* instance is elided. */
-    std::unordered_set<Addr> _elidedOpen;
-    /** Elided bases between their bndclr and their re-sign pacma. */
-    std::unordered_set<Addr> _freeing;
+    FlatU64Map<BaseState> _bases;
 
     BoundsElideStats _stats;
 };

@@ -435,7 +435,6 @@ AosSystem::run()
     const u64 traffic_before = _mem->networkTraffic();
     const u64 dram_accesses_before = _mem->dramAccesses();
     const u64 dram_writes_before = _mem->dramWrites();
-    const u64 lookups_before = _core->predictor().stats().lookups;
     const u64 mispred_before = _core->predictor().stats().mispredicts;
 
     {
@@ -497,8 +496,6 @@ AosSystem::run()
         result.faults = _injector->stats();
         result.faultEvents = _injector->events();
     }
-    const u64 lookups =
-        _core->predictor().stats().lookups - lookups_before;
     const u64 mispredicts =
         _core->predictor().stats().mispredicts - mispred_before;
     result.branchMpki =
@@ -506,7 +503,6 @@ AosSystem::run()
             ? 1000.0 * static_cast<double>(mispredicts) /
                   static_cast<double>(result.core.committed)
             : 0.0;
-    (void)lookups;
     return result;
 }
 

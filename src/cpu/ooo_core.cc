@@ -65,7 +65,6 @@ OoOCore::execLatency(const ir::MicroOp &op, Tick now)
       default:
         return 1;
     }
-    (void)now;
 }
 
 bool

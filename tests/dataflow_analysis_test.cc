@@ -282,6 +282,54 @@ TEST(DataflowEngine, ProvenanceQueryTracksTheLiveHeap)
     EXPECT_EQ(engine.current(kChunkB), nullptr);
 }
 
+TEST(DataflowEngine, AliasLookupTakesTheGreatestLiveBase)
+{
+    // An address belongs to the live chunk with the greatest base at
+    // or below it, and only if it lies before that chunk's end: a
+    // chunk nested inside another shadows the outer one above its own
+    // end. Adjacent chunks split at the shared boundary.
+    constexpr Addr kOuter = 0x20001000; // [0x1000, 0x1100)
+    constexpr Addr kInner = 0x20001080; // [0x1080, 0x1090), nested
+    constexpr Addr kNext = 0x20001100;  // [0x1100, 0x1140), adjacent
+    constexpr Addr kEmpty = 0x20001200; // zero-size: no extent
+    DataflowEngine engine(kLayout);
+    engine.step(op(OpKind::kMallocMark, 0, kOuter, 0x100));
+    engine.step(op(OpKind::kMallocMark, 0, kInner, 0x10));
+    engine.step(op(OpKind::kMallocMark, 0, kNext, 0x40));
+    engine.step(op(OpKind::kMallocMark, 0, kEmpty, 0));
+
+    const auto owner = [&](Addr addr) {
+        const ProvenanceValue p = engine.provenanceOf(addr);
+        return p.isChunk() ? p.id().base : Addr{0};
+    };
+    EXPECT_EQ(owner(kOuter - 1), 0u);
+    EXPECT_EQ(owner(kOuter), kOuter);
+    EXPECT_EQ(owner(kInner - 1), kOuter);
+    EXPECT_EQ(owner(kInner), kInner);
+    EXPECT_EQ(owner(kInner + 0xf), kInner);
+    EXPECT_EQ(owner(kInner + 0x10), 0u); // Inside kOuter, past kInner.
+    EXPECT_EQ(owner(kNext - 1), 0u);
+    EXPECT_EQ(owner(kNext), kNext);
+    EXPECT_EQ(owner(kNext + 0x3f), kNext);
+    EXPECT_EQ(owner(kNext + 0x40), 0u);
+    EXPECT_EQ(owner(kEmpty), 0u);
+    EXPECT_EQ(owner(kEmpty + 0x1000), 0u);
+
+    // Freeing the nested chunk uncovers the outer one; freeing the
+    // adjacent one leaves its range to nobody.
+    engine.step(op(OpKind::kFreeMark, 0, kInner));
+    EXPECT_EQ(owner(kInner + 0x10), kOuter);
+    EXPECT_EQ(owner(kInner), kOuter);
+    engine.step(op(OpKind::kFreeMark, 0, kNext));
+    EXPECT_EQ(owner(kNext), 0u);
+    EXPECT_EQ(owner(kNext - 1), kOuter);
+
+    // An unattributed store into the outer chunk aliases it.
+    engine.step(op(OpKind::kStore, kOuter + 0x90, 0, 8));
+    EXPECT_EQ(engine.current(kOuter)->escape.cause(),
+              EscapeState::Cause::kUnknownAlias);
+}
+
 // --- planBoundsElision: verdicts and obligations. ---
 
 ElisionPlan
@@ -362,6 +410,71 @@ TEST(ElisionPlanning, NeverAccessedChunkIsElidable)
     const ProofObligation *ob = plan.find(kChunkA, 1);
     ASSERT_NE(ob, nullptr);
     EXPECT_EQ(ob->accesses, 0u);
+}
+
+TEST(ElisionPlanning, IndexIsExactAcrossGenerationsAndHighBases)
+{
+    // One base reused for more than 2^16 generations, and bases that
+    // differ from it only in high VA bits: an index that folded
+    // (base, gen) into one hashed key could confuse these. Every
+    // seventh instance of each base escapes, so verdicts alternate.
+    constexpr u32 kGens = (1u << 16) + 300;
+    const std::vector<Addr> high = {kChunkA | (Addr{1} << 45),
+                                    kChunkA | (Addr{1} << 44),
+                                    kChunkA | (Addr{1} << 40)};
+    const auto expectElided = [](u32 gen) { return gen % 7 != 0; };
+    std::vector<MicroOp> source;
+    const auto lifetime = [&](Addr base, u32 gen) {
+        source.push_back(op(OpKind::kMallocMark, 0, base, 64));
+        if (!expectElided(gen))
+            source.push_back(ptrLoad(base + 8, base));
+        source.push_back(op(OpKind::kFreeMark, 0, base));
+    };
+    u32 high_gens = 0;
+    for (u32 gen = 1; gen <= kGens; ++gen) {
+        lifetime(kChunkA, gen);
+        if (gen % 500 == 0) {
+            ++high_gens;
+            for (Addr base : high)
+                lifetime(base, high_gens);
+        }
+    }
+
+    DataflowEngine engine(kLayout);
+    ir::VectorStream stream(source);
+    engine.run(stream);
+    const ElisionPlan plan = planBoundsElision(engine);
+    ASSERT_EQ(engine.summaries().size(), kGens + high.size() * high_gens);
+
+    for (const ProofObligation &ob : plan.obligations()) {
+        const ProofObligation *found =
+            plan.find(ob.chunk.base, ob.chunk.gen);
+        ASSERT_EQ(found, &ob);
+        EXPECT_EQ(found->chunk, ob.chunk);
+    }
+    u64 elided = 0;
+    for (const ChunkSummary &sum : engine.summaries()) {
+        const ProofObligation *found = plan.find(sum.id.base, sum.id.gen);
+        if (expectElided(sum.id.gen)) {
+            ++elided;
+            ASSERT_NE(found, nullptr)
+                << std::hex << sum.id.base << std::dec << " gen "
+                << sum.id.gen;
+            EXPECT_EQ(found->chunk, sum.id);
+        } else {
+            EXPECT_EQ(found, nullptr)
+                << std::hex << sum.id.base << std::dec << " gen "
+                << sum.id.gen;
+            EXPECT_FALSE(plan.elided(sum.id.base, sum.id.gen));
+        }
+    }
+    EXPECT_EQ(plan.obligations().size(), elided);
+
+    // Generations the stream never reached, and an unknown base.
+    EXPECT_EQ(plan.find(kChunkA, 0), nullptr);
+    EXPECT_EQ(plan.find(kChunkA, kGens + 1), nullptr);
+    EXPECT_EQ(plan.find(high[0], high_gens + 1), nullptr);
+    EXPECT_EQ(plan.find(kChunkB, 1), nullptr);
 }
 
 // --- AosBoundsElidePass + ObligationChecker end to end. ---
