@@ -124,8 +124,7 @@ main()
     exitIfInterrupted(result);
     if (!result.allOk()) {
         std::fprintf(stderr, "bounds_elision: %u job(s) failed\n",
-                     result.count(campaign::JobStatus::kFailed) +
-                         result.count(campaign::JobStatus::kTimeout));
+                     result.count(campaign::JobStatus::kFailed));
         return 1;
     }
 

@@ -36,32 +36,14 @@ main()
     campaign::CampaignResult result = sweep.run();
     exitIfInterrupted(result);
 
-    std::printf("campaign smoke: %zu jobs, %u ok, %u failed, "
-                "%u timeout (resumed %u, executed %u)\n",
+    std::printf("campaign smoke: %zu jobs, %u ok, %u failed\n",
                 result.jobs.size(), result.count(campaign::JobStatus::kOk),
-                result.count(campaign::JobStatus::kFailed),
-                result.count(campaign::JobStatus::kTimeout),
-                result.resumedJobs, result.executedJobs);
+                result.count(campaign::JobStatus::kFailed));
     for (const auto &job : result.jobs) {
-        std::printf("  %-16s %-8s%s cycles=%.0f\n", job.name.c_str(),
+        std::printf("  %-16s %-8s cycles=%.0f\n", job.name.c_str(),
                     campaign::jobStatusName(job.status),
-                    job.resumed ? " (resumed)" : "",
                     job.stats.value("cycles"));
     }
     emitCampaignJson(result, "campaign_smoke");
-    // Checkpoint accounting gate: in a completed campaign every job is
-    // either restored from a valid record or executed exactly once —
-    // a valid record that re-ran (or a job that did neither) is a
-    // resume-logic bug.
-    if (!result.checkpointDir.empty() &&
-        result.resumedJobs + result.executedJobs != result.jobs.size()) {
-        std::fprintf(stderr,
-                     "campaign smoke: resumed (%u) + executed (%u) != "
-                     "jobs (%zu) — checkpoint resume re-ran or dropped "
-                     "jobs\n",
-                     result.resumedJobs, result.executedJobs,
-                     result.jobs.size());
-        return 1;
-    }
     return result.allOk() ? 0 : 1;
 }

@@ -152,8 +152,7 @@ main()
     exitIfInterrupted(result);
     if (!result.allOk()) {
         std::fprintf(stderr, "elision_ablation: %u job(s) failed\n",
-                     result.count(campaign::JobStatus::kFailed) +
-                         result.count(campaign::JobStatus::kTimeout));
+                     result.count(campaign::JobStatus::kFailed));
         return 1;
     }
 
@@ -161,8 +160,6 @@ main()
     GeoAccum rate_geo;
     GeoAccum belide_norm_geo;
     for (size_t p = 0; p < profiles.size(); ++p) {
-        // Read the flattened stats, not run.*: a job restored from a
-        // checkpoint carries stats only.
         const StatSet &base = result.jobs[3 * p].stats;
         campaign::JobResult &elided_job = result.jobs[3 * p + 1];
         campaign::JobResult &belided_job = result.jobs[3 * p + 2];

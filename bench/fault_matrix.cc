@@ -120,8 +120,7 @@ main()
     exitIfInterrupted(result);
     if (!result.allOk()) {
         std::fprintf(stderr, "fault_matrix: %u job(s) failed\n",
-                     result.count(campaign::JobStatus::kFailed) +
-                         result.count(campaign::JobStatus::kTimeout));
+                     result.count(campaign::JobStatus::kFailed));
         return 1;
     }
 
@@ -129,8 +128,6 @@ main()
     u64 total_injected = 0;
     u64 total_sim_faults = 0;
     for (size_t i = 0; i < result.jobs.size(); ++i) {
-        // Read the flattened stats, not run.faults: a job restored
-        // from a checkpoint carries stats only.
         const auto &stats = result.jobs[i].stats;
         const auto stat = [&](const char *key) {
             return static_cast<u64>(stats.has(key) ? stats.value(key) : 0);

@@ -54,8 +54,7 @@ main()
     exitIfInterrupted(result);
     if (!result.allOk()) {
         std::fprintf(stderr, "fig14: %u job(s) failed\n",
-                     result.count(campaign::JobStatus::kFailed) +
-                         result.count(campaign::JobStatus::kTimeout));
+                     result.count(campaign::JobStatus::kFailed));
         return 1;
     }
 
@@ -69,8 +68,6 @@ main()
         const auto row = [&](unsigned m) -> campaign::JobResult & {
             return result.jobs[p * kNumMechs + m];
         };
-        // Read cycles from the flattened stats, not run.core: a job
-        // restored from a checkpoint carries stats only.
         const double base_cycles = row(0).stats.value("cycles");
         std::printf("%-12s", profiles[p].name.c_str());
         for (unsigned m = 1; m < kNumMechs; ++m) {

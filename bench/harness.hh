@@ -13,24 +13,14 @@
  *   AOS_CAMPAIGN_JOBS      worker threads (default: all hardware threads)
  *   AOS_CAMPAIGN_JSON      results path; "0"/"off" disables emission
  *                          (default: BENCH_<name>.json in the cwd)
- *   AOS_CAMPAIGN_JSON_CANONICAL
- *                          also write the canonical (timing-stripped)
- *                          document to this path; unset disables
  *   AOS_CAMPAIGN_PROGRESS  set to 0 to silence progress/ETA lines
- *   AOS_CAMPAIGN_RESUME    checkpoint directory: completed jobs are
- *                          durably logged there, and a rerun restores
- *                          them instead of re-executing (DESIGN.md §10)
- *   AOS_CHAOS              "<seed>,<rate‰>,<domains>[,<cap>]" installs
- *                          the deterministic environment-fault engine
- *                          (common/chaosio.hh, DESIGN.md §13);
- *                          domains are '+'-joined from disk/alloc/all
  *
  * Numeric knobs are parsed strictly (common/env.hh): a typo is a fatal
  * diagnostic naming the variable, never a silently-ignored override.
  *
  * Campaign harnesses install SIGINT/SIGTERM handlers; on shutdown the
- * campaign flushes its checkpoint and the harness exits with 130 and a
- * resume hint (see exitIfInterrupted()).
+ * campaign preempts its running jobs and the harness exits with 130
+ * (see exitIfInterrupted()).
  */
 
 #ifndef AOS_BENCH_HARNESS_HH
@@ -43,7 +33,6 @@
 
 #include "campaign/campaign.hh"
 #include "common/cancel.hh"
-#include "common/chaosio.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -98,12 +87,9 @@ campaignOptions(const std::string &name)
     options.name = name;
     options.workers = campaign::workersFromEnv(0);
     options.progress = envFlag("AOS_CAMPAIGN_PROGRESS", true);
-    options.checkpointDir = envString("AOS_CAMPAIGN_RESUME");
-    // AOS_CHAOS installs the process-global environment-fault engine.
-    chaos::installChaosFromEnv();
     // Graceful shutdown: SIGINT/SIGTERM trips the process token; the
-    // campaign preempts running jobs at their next cancellation point,
-    // flushes the checkpoint, and returns with interrupted set.
+    // campaign preempts running jobs at their next cancellation point
+    // and returns with interrupted set.
     installShutdownHandlers();
     options.cancel = &shutdownToken();
     return options;
@@ -112,47 +98,23 @@ campaignOptions(const std::string &name)
 /**
  * Write campaign results to AOS_CAMPAIGN_JSON (default
  * BENCH_<bench>.json; "0"/"off" disables) and say where they went.
- * When AOS_CAMPAIGN_RESUME checkpointing is active, also report the
- * resumed-vs-executed split. With AOS_CAMPAIGN_JSON_CANONICAL set, the
- * canonical (timing-stripped) document is written there too — that is
- * the byte-comparable artifact for kill-and-resume parity checks.
- * Returns false when a requested emission could not be written, so
- * harnesses can propagate the failure to their exit code.
+ * Returns false when the document could not be written, so harnesses
+ * can propagate the failure to their exit code.
  */
 inline bool
 emitCampaignJson(const campaign::CampaignResult &result,
                  const std::string &bench)
 {
-    if (!result.checkpointDir.empty()) {
-        std::printf("checkpoint: %s (resumed %u, executed %u, "
-                    "discarded %llu corrupt record region(s))\n",
-                    result.checkpointDir.c_str(), result.resumedJobs,
-                    result.executedJobs,
-                    static_cast<unsigned long long>(
-                        result.discardedRecords));
-    }
-    bool ok = true;
-    const std::string canonical =
-        envString("AOS_CAMPAIGN_JSON_CANONICAL");
-    if (!canonical.empty()) {
-        if (!result.writeJsonFile(canonical, false)) {
-            std::fprintf(stderr,
-                         "failed to write canonical campaign JSON to "
-                         "%s\n",
-                         canonical.c_str());
-            ok = false;
-        }
-    }
     std::string path = "BENCH_" + bench + ".json";
     if (const char *env = std::getenv("AOS_CAMPAIGN_JSON")) {
         const std::string v(env);
         if (v.empty() || v == "0" || v == "off")
-            return ok;
+            return true;
         path = v;
     }
     if (result.writeJsonFile(path)) {
         std::printf("\ncampaign results: %s\n", path.c_str());
-        return ok;
+        return true;
     }
     std::fprintf(stderr, "failed to write campaign JSON to %s\n",
                  path.c_str());
@@ -161,8 +123,8 @@ emitCampaignJson(const campaign::CampaignResult &result,
 
 /**
  * Shutdown epilogue for campaign harnesses: when the campaign was
- * interrupted (SIGINT/SIGTERM), print a resume hint and exit 130 —
- * the conventional "killed by signal" code — instead of letting the
+ * interrupted (SIGINT/SIGTERM), say how far it got and exit 130 — the
+ * conventional "killed by signal" code — instead of letting the
  * harness grade partial results as failures.
  */
 inline void
@@ -171,18 +133,10 @@ exitIfInterrupted(const campaign::CampaignResult &result)
     if (!result.interrupted)
         return;
     std::fflush(stdout);
-    if (!result.checkpointDir.empty()) {
-        std::fprintf(stderr,
-                     "\ninterrupted: %u/%zu jobs checkpointed; rerun "
-                     "with AOS_CAMPAIGN_RESUME=%s to resume\n",
-                     result.resumedJobs + result.executedJobs,
-                     result.jobs.size(), result.checkpointDir.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "\ninterrupted with no checkpoint; set "
-                     "AOS_CAMPAIGN_RESUME=<dir> to make runs "
-                     "resumable\n");
-    }
+    std::fprintf(stderr, "\ninterrupted: %u/%zu jobs completed\n",
+                 result.count(campaign::JobStatus::kOk) +
+                     result.count(campaign::JobStatus::kFailed),
+                 result.jobs.size());
     std::exit(130);
 }
 

@@ -76,7 +76,7 @@ struct SystemOptions
      * Cooperative-cancellation token polled by the simulation loops
      * (common/cancel.hh); null disables the checks. Not owned. Raises
      * CancelledException from inside run()/fastForward() — callers
-     * (the campaign engine) map it to kTimeout/kCancelled.
+     * (the campaign engine) record it as kCancelled.
      */
     const CancelToken *cancel = nullptr;
 

@@ -9,9 +9,7 @@
 #include <sstream>
 #include <thread>
 
-#include "campaign/checkpoint.hh"
 #include "campaign/json.hh"
-#include "common/chaosio.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
@@ -33,8 +31,6 @@ executeJob(const Job &job, const CancelToken &cancel)
 {
     if (job.cancellableBody)
         return job.cancellableBody(cancel);
-    if (job.body)
-        return job.body();
     baselines::SystemOptions options = job.options;
     options.mech = job.mech;
     if (job.ops)
@@ -46,15 +42,12 @@ executeJob(const Job &job, const CancelToken &cancel)
 }
 
 /**
- * Run @p job (id @p idx) through the full attempt loop: retry to
- * @p maxAttempts, cooperative timeout classification, and shutdown
- * preemption via a per-attempt token chained to @p parent.
+ * Run @p job (id @p idx) once against @p cancel: an exception is
+ * recorded as kFailed, a shutdown preemption as kCancelled.
  */
 void
-executeJobAttempts(const Job &job, u32 idx, JobResult &r,
-                   unsigned maxAttempts, double timeoutSec,
-                   const CancelToken *parent,
-                   const std::string &campaignName)
+runJob(const Job &job, u32 idx, JobResult &r, const CancelToken &cancel,
+       const std::string &campaignName)
 {
     r.id = idx;
     r.name = job.name;
@@ -63,68 +56,25 @@ executeJobAttempts(const Job &job, u32 idx, JobResult &r,
     r.seed = job.seed;
     r.ops = job.ops ? job.ops : job.options.measureOps;
 
-    maxAttempts = std::max(1u, maxAttempts);
-    for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
-        r.attempts = attempt;
-        // Per-attempt token: chains to the process shutdown token
-        // and arms the wall-clock budget, so the simulation's
-        // cancellation points preempt an over-budget attempt
-        // instead of letting it hog the worker.
-        CancelToken cancel(parent);
-        if (timeoutSec > 0)
-            cancel.setDeadlineAfter(timeoutSec);
-        const Clock::time_point t0 = Clock::now();
-        try {
-            // Chaos alloc domain: a synthetic bad_alloc at the attempt
-            // boundary lands in the catch below and is retried like
-            // any other transient failure.
-            chaos::probeAlloc();
-            core::RunResult run = executeJob(job, cancel);
-            r.wallMs = 1e3 * secondsSince(t0, Clock::now());
-            if (timeoutSec > 0 && r.wallMs > 1e3 * timeoutSec) {
-                // Post-hoc fallback for plain body jobs that never
-                // poll the token; a pathological config would just
-                // time out again, so no retry.
-                r.status = JobStatus::kTimeout;
-                r.error = csprintf(
-                    "attempt exceeded %.3fs wall-clock budget "
-                    "(took %.3fs)",
-                    timeoutSec, r.wallMs / 1e3);
-                break;
-            }
-            r.run = std::move(run);
-            r.stats = r.run.toStatSet();
-            r.status = JobStatus::kOk;
-            r.error.clear();
-            break;
-        } catch (const CancelledException &) {
-            r.wallMs = 1e3 * secondsSince(t0, Clock::now());
-            if (cancel.reason() == CancelToken::Reason::kDeadline) {
-                r.status = JobStatus::kTimeout;
-                r.error = csprintf(
-                    "preempted after exceeding %.3fs wall-clock "
-                    "budget (ran %.3fs)",
-                    timeoutSec, r.wallMs / 1e3);
-            } else {
-                // Shutdown: leave the job for a checkpoint resume.
-                r.status = JobStatus::kCancelled;
-                r.error = "cancelled by shutdown request";
-            }
-            break;
-        } catch (const std::exception &e) {
-            r.wallMs = 1e3 * secondsSince(t0, Clock::now());
-            r.status = JobStatus::kFailed;
-            r.error = e.what();
-        } catch (...) {
-            r.wallMs = 1e3 * secondsSince(t0, Clock::now());
-            r.status = JobStatus::kFailed;
-            r.error = "unknown exception";
-        }
+    const Clock::time_point t0 = Clock::now();
+    try {
+        r.run = executeJob(job, cancel);
+        r.stats = r.run.toStatSet();
+        r.status = JobStatus::kOk;
+    } catch (const CancelledException &) {
+        r.status = JobStatus::kCancelled;
+        r.error = "cancelled by shutdown request";
+    } catch (const std::exception &e) {
+        r.status = JobStatus::kFailed;
+        r.error = e.what();
+    } catch (...) {
+        r.status = JobStatus::kFailed;
+        r.error = "unknown exception";
     }
+    r.wallMs = 1e3 * secondsSince(t0, Clock::now());
     if (r.status == JobStatus::kFailed && !quiet()) {
-        warn("campaign %s: job %s failed after %u attempt(s): %s",
-             campaignName.c_str(), r.name.c_str(), r.attempts,
-             r.error.c_str());
+        warn("campaign %s: job %s failed: %s", campaignName.c_str(),
+             r.name.c_str(), r.error.c_str());
     }
 }
 
@@ -151,7 +101,6 @@ jobStatusName(JobStatus status)
       case JobStatus::kPending: return "pending";
       case JobStatus::kOk: return "ok";
       case JobStatus::kFailed: return "failed";
-      case JobStatus::kTimeout: return "timeout";
       case JobStatus::kCancelled: return "cancelled";
     }
     return "unknown";
@@ -220,22 +169,16 @@ Campaign::run()
     CampaignResult result;
     result.name = _options.name;
     result.workers = workers;
-    result.maxAttempts = std::max(1u, _options.maxAttempts);
-    result.timeoutSec = _options.timeoutSec;
-    result.checkpointDir = _options.checkpointDir;
     result.jobs.resize(total);
 
-    // Checkpoint restore: validate the directory against this exact
-    // campaign, adopt every intact record, and arrange for the rest to
-    // execute. A foreign/corrupt manifest means a full re-run — never
-    // a mix of stale and fresh results.
-    CheckpointWriter writer;
-    const bool checkpointing =
-        setupCheckpoint(_options, _jobs, workers, result, writer);
+    // Jobs poll the shutdown token directly; without one they get a
+    // local token that never trips.
+    const CancelToken untripped;
+    const CancelToken &cancel =
+        _options.cancel ? *_options.cancel : untripped;
 
     const Clock::time_point start = Clock::now();
-    std::atomic<u32> completed{result.resumedJobs};
-    std::atomic<u32> executed{0};
+    std::atomic<u32> completed{0};
     std::mutex progressMutex;
     Clock::time_point lastReport = start;
 
@@ -259,57 +202,38 @@ Campaign::run()
                   elapsed, eta);
     };
 
-    auto runOne = [&](unsigned self, u32 idx) {
-        JobResult &r = result.jobs[idx];
-        executeJobAttempts(_jobs[idx], idx, r, result.maxAttempts,
-                           result.timeoutSec, _options.cancel,
-                           _options.name);
-        if (r.status == JobStatus::kCancelled)
-            return;
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (checkpointing && !writer.append(self, r)) {
-            warn("campaign %s: checkpoint append failed for job %s",
-                 _options.name.c_str(), r.name.c_str());
-        }
-        reportProgress(completed.fetch_add(1, std::memory_order_relaxed) +
-                       1);
-    };
-
-    auto shutdown = [&]() {
-        return _options.cancel && _options.cancel->cancelled();
-    };
-
     // Every job is known up front and none creates further jobs, so
     // one shared cursor is the whole work queue: each worker claims
-    // the next index in submission order and skips jobs the checkpoint
-    // already restored.
+    // the next index in submission order.
     std::atomic<size_t> cursor{0};
-    auto workerLoop = [&](unsigned self) {
-        // On shutdown, unclaimed jobs stay pending for the resume.
-        while (!shutdown()) {
+    auto workerLoop = [&]() {
+        // On shutdown, unclaimed jobs stay pending.
+        while (!cancel.cancelled()) {
             const size_t idx = cursor.fetch_add(1);
             if (idx >= total)
                 return;
-            if (result.jobs[idx].status == JobStatus::kPending)
-                runOne(self, static_cast<u32>(idx));
+            JobResult &r = result.jobs[idx];
+            runJob(_jobs[idx], static_cast<u32>(idx), r, cancel,
+                   _options.name);
+            if (r.status != JobStatus::kCancelled)
+                reportProgress(
+                    completed.fetch_add(1, std::memory_order_relaxed) + 1);
         }
     };
 
     if (workers <= 1) {
-        workerLoop(0);
+        workerLoop();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop, w);
+            pool.emplace_back(workerLoop);
         for (auto &t : pool)
             t.join();
     }
 
-    writer.close();
-    result.executedJobs = executed.load(std::memory_order_relaxed);
     result.interrupted =
-        shutdown() || result.count(JobStatus::kCancelled) > 0 ||
+        cancel.cancelled() || result.count(JobStatus::kCancelled) > 0 ||
         result.count(JobStatus::kPending) > 0;
     result.totalWallMs = 1e3 * secondsSince(start, Clock::now());
     mergeAndReduce(result, _reducers);
@@ -328,11 +252,9 @@ computeReducers(CampaignResult &result, const std::vector<Reducer> &reducers)
                 continue;
             if (reducer.filter && !reducer.filter(job))
                 continue;
-            const StatSet &source =
-                reducer.timing ? job.timing : job.stats;
-            if (!source.has(reducer.stat))
+            if (!job.stats.has(reducer.stat))
                 continue;
-            values.push_back(source.value(reducer.stat));
+            values.push_back(job.stats.value(reducer.stat));
         }
         double out = 0;
         if (!values.empty()) {
@@ -358,7 +280,7 @@ computeReducers(CampaignResult &result, const std::vector<Reducer> &reducers)
             }
         }
         result.reducers.push_back({reducer.name, reducer.op, reducer.stat,
-                                   out, values.size(), reducer.timing});
+                                   out, values.size()});
     }
 }
 
@@ -397,19 +319,9 @@ CampaignResult::writeJson(std::ostream &os, bool includeTimings) const
     JsonValue meta = JsonValue::object();
     meta.set("name", name);
     meta.set("jobs", static_cast<u64>(jobs.size()));
-    meta.set("max_attempts", maxAttempts);
-    meta.set("timeout_sec", timeoutSec);
     if (includeTimings) {
         meta.set("workers", workers);
         meta.set("total_wall_ms", totalWallMs);
-        // Resume bookkeeping varies run-to-run by construction, so it
-        // lives with the timing fields, outside the canonical form.
-        if (!checkpointDir.empty()) {
-            meta.set("checkpoint_dir", checkpointDir);
-            meta.set("resumed_jobs", resumedJobs);
-            meta.set("executed_jobs", executedJobs);
-            meta.set("discarded_records", discardedRecords);
-        }
         if (interrupted)
             meta.set("interrupted", true);
     }
@@ -426,34 +338,20 @@ CampaignResult::writeJson(std::ostream &os, bool includeTimings) const
         j.set("seed", r.seed);
         j.set("ops", r.ops);
         j.set("status", jobStatusName(r.status));
-        j.set("attempts", r.attempts);
-        if (includeTimings) {
+        if (includeTimings)
             j.set("wall_ms", r.wallMs);
-            if (r.resumed)
-                j.set("resumed", true);
-        }
         if (!r.error.empty())
             j.set("error", r.error);
         JsonValue stats = JsonValue::object();
         for (const auto &[key, stat] : r.stats.scalars())
             stats.set(key, stat.value());
         j.set("stats", std::move(stats));
-        if (includeTimings && !r.timing.scalars().empty()) {
-            JsonValue timing = JsonValue::object();
-            for (const auto &[key, stat] : r.timing.scalars())
-                timing.set(key, stat.value());
-            j.set("timing_stats", std::move(timing));
-        }
         jobArray.push(std::move(j));
     }
     root.set("jobs", std::move(jobArray));
 
     JsonValue reducerArray = JsonValue::array();
     for (const ReducerOutput &r : reducers) {
-        // Timing reducers fold wall-derived per-job scalars; like the
-        // scalars themselves they are absent from the canonical form.
-        if (r.timing && !includeTimings)
-            continue;
         JsonValue j = JsonValue::object();
         j.set("name", r.name);
         j.set("op", reduceOpName(r.op));

@@ -12,22 +12,12 @@
  *    is shared between jobs — so a campaign executed with any worker
  *    count produces bit-identical per-job results, and the canonical
  *    JSON emission (timings stripped) is byte-equal across runs.
- *  - Robustness: a job that throws is retried up to
- *    CampaignOptions::maxAttempts times and then recorded as kFailed
- *    with the exception text. CampaignOptions::timeoutSec arms a
- *    CancelToken deadline that simulation jobs (and cancellableBody
- *    jobs) poll at op granularity, so an over-budget attempt is
- *    preempted cooperatively, recorded as kTimeout with its partial
- *    wall time, and not retried. Plain body jobs that never poll fall
- *    back to the old post-hoc classification. A process shutdown
- *    request (SIGINT/SIGTERM via CampaignOptions::cancel) likewise
- *    preempts the running jobs, which are recorded as kCancelled and
- *    left for a checkpoint resume. Either way the rest of the sweep
- *    keeps running (or, for shutdown, winds down cleanly).
- *  - Crash safety: with CampaignOptions::checkpointDir set (usually
- *    via AOS_CAMPAIGN_RESUME) every completed job is durably appended
- *    to a CRC-framed shard log, and a rerun restores those results and
- *    executes only the remainder — see campaign/checkpoint.hh.
+ *  - Robustness: each job runs exactly once. A job that throws is
+ *    recorded as kFailed with the exception text, and the rest of the
+ *    sweep keeps running. A process shutdown request (SIGINT/SIGTERM
+ *    via CampaignOptions::cancel) preempts the running jobs at their
+ *    next cancellation point, records them as kCancelled, leaves the
+ *    queued jobs pending, and sets CampaignResult::interrupted.
  *  - Aggregation: per-job stats flatten to StatSet and fold into a
  *    campaign-wide rollup via StatSet::merge(); named reducers
  *    (geomean/sum/max/min/mean over a stat, with an optional job
@@ -65,21 +55,14 @@ struct Job
 
     /**
      * Test/extension hook: when set, runs instead of the AosSystem
-     * simulation (exception capture, retry and timeout still apply;
-     * the timeout falls back to post-hoc classification since a plain
-     * body has no cancellation points).
-     */
-    std::function<core::RunResult()> body;
-
-    /**
-     * Like body, but handed the per-attempt CancelToken so it can poll
-     * cancellation points and be preempted like a simulation job.
-     * Takes precedence over body when both are set.
+     * simulation (exception capture still applies). It is handed the
+     * campaign's CancelToken so it can poll cancellation points and be
+     * preempted like a simulation job.
      */
     std::function<core::RunResult(const CancelToken &)> cancellableBody;
 };
 
-enum class JobStatus { kPending, kOk, kFailed, kTimeout, kCancelled };
+enum class JobStatus { kPending, kOk, kFailed, kCancelled };
 
 const char *jobStatusName(JobStatus status);
 
@@ -94,19 +77,12 @@ struct JobResult
     u64 ops = 0;
 
     JobStatus status = JobStatus::kPending;
-    unsigned attempts = 0;
-    bool resumed = false; //!< Restored from a checkpoint, not executed.
-    double wallMs = 0;    //!< Wall clock of the final attempt (timing).
-    std::string error;    //!< Exception text for kFailed / kTimeout.
+    double wallMs = 0;    //!< Wall clock of the run (timing).
+    std::string error;    //!< Exception text for kFailed / kCancelled.
 
-    core::RunResult run;  //!< Valid when ok() && !resumed (not
-                          //!< checkpointed; read stats instead).
+    core::RunResult run;  //!< Valid when ok().
     StatSet stats;        //!< Flattened run stats (mutable: harnesses
                           //!< may inject derived scalars pre-reduce).
-    StatSet timing{"timing"}; //!< Wall-derived scalars (e.g. host
-                              //!< ops/sec). Kept out of stats so the
-                              //!< canonical JSON stays byte-identical
-                              //!< across resumes and worker counts.
 
     bool ok() const { return status == JobStatus::kOk; }
 };
@@ -120,10 +96,8 @@ struct Reducer
 {
     std::string name;
     ReduceOp op = ReduceOp::kGeomean;
-    std::string stat; //!< Key into JobResult::stats (or timing, below).
+    std::string stat; //!< Key into JobResult::stats.
     std::function<bool(const JobResult &)> filter; //!< null = all ok.
-    bool timing = false; //!< Stat lives in JobResult::timing; the
-                         //!< output is emitted only in timing JSON.
 };
 
 struct ReducerOutput
@@ -133,30 +107,21 @@ struct ReducerOutput
     std::string stat;
     double value = 0;
     u64 count = 0; //!< Jobs that contributed.
-    bool timing = false; //!< Excluded from canonical JSON.
 };
 
 struct CampaignOptions
 {
     std::string name = "campaign";
     unsigned workers = 0;      //!< 0 = std::thread::hardware_concurrency.
-    unsigned maxAttempts = 1;  //!< Attempts per job before kFailed.
-    double timeoutSec = 0;     //!< Per-attempt wall budget; 0 = none.
     bool progress = false;     //!< progressf() completion/ETA lines.
     double progressIntervalSec = 2.0;
 
     /**
-     * Checkpoint directory (usually from AOS_CAMPAIGN_RESUME). Empty
-     * disables checkpointing. When set, completed jobs are durably
-     * logged there and a rerun resumes instead of re-executing.
-     */
-    std::string checkpointDir;
-
-    /**
-     * Shutdown token (usually &shutdownToken()). When it trips,
-     * running jobs are preempted at their next cancellation point and
-     * recorded kCancelled, queued jobs are skipped, and
-     * CampaignResult::interrupted is set.
+     * Shutdown token (usually &shutdownToken()), handed to every job.
+     * When it trips, running jobs are preempted at their next
+     * cancellation point and recorded kCancelled, queued jobs are
+     * skipped, and CampaignResult::interrupted is set. Null runs the
+     * jobs against a campaign-local token that never trips.
      */
     const CancelToken *cancel = nullptr;
 };
@@ -165,15 +130,8 @@ struct CampaignResult
 {
     std::string name;
     unsigned workers = 1;      //!< Resolved worker count (timing field).
-    unsigned maxAttempts = 1;
-    double timeoutSec = 0;
     double totalWallMs = 0;    //!< Timing field.
-
-    unsigned resumedJobs = 0;  //!< Restored from the checkpoint.
-    unsigned executedJobs = 0; //!< Actually run this invocation.
-    u64 discardedRecords = 0;  //!< Corrupt checkpoint tails dropped.
     bool interrupted = false;  //!< Shutdown requested before completion.
-    std::string checkpointDir; //!< Where results were checkpointed.
 
     std::vector<JobResult> jobs;
     std::vector<ReducerOutput> reducers;
@@ -226,9 +184,9 @@ class Campaign
     /**
      * Execute every queued job on the thread pool; blocks until the
      * sweep finishes. Workers claim jobs through one atomic cursor in
-     * submission order, skipping jobs restored from a checkpoint. Each
-     * job is a pure function of its spec, so the canonical JSON is
-     * byte-identical at any worker count.
+     * submission order and run each exactly once. Each job is a pure
+     * function of its spec, so the canonical JSON is byte-identical at
+     * any worker count.
      */
     CampaignResult run();
 

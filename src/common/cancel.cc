@@ -6,14 +6,11 @@ namespace aos {
 
 namespace {
 
-std::atomic<int> gShutdownSignal{0};
-
 void
-shutdownHandler(int signo)
+shutdownHandler(int)
 {
-    // Only lock-free atomic stores: async-signal-safe.
-    shutdownToken().requestCancel(CancelToken::Reason::kShutdown);
-    gShutdownSignal.store(signo, std::memory_order_release);
+    // Only a lock-free atomic store: async-signal-safe.
+    shutdownToken().requestCancel();
 }
 
 } // namespace
@@ -40,12 +37,6 @@ installShutdownHandlers()
     sa.sa_flags = 0; // No SA_RESTART: interrupt blocking syscalls too.
     ::sigaction(SIGINT, &sa, nullptr);
     ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-int
-shutdownSignal()
-{
-    return gShutdownSignal.load(std::memory_order_acquire);
 }
 
 } // namespace aos

@@ -1,22 +1,17 @@
 /**
  * @file
- * Cooperative cancellation (DESIGN.md §10).
+ * Cooperative cancellation (DESIGN.md §7.3).
  *
- * A CancelToken is polled at cancellation points inside long-running
- * loops (the OoO core's cycle loop, AosSystem's fast-forward, campaign
- * workers between jobs). It trips for one of two reasons:
+ * A CancelToken is one latched flag, polled at cancellation points
+ * inside long-running loops (the OoO core's cycle loop, AosSystem's
+ * fast-forward, the dataflow pre-pass, campaign workers between jobs).
+ * Its one production tripper is the SIGINT/SIGTERM handler installed
+ * by installShutdownHandlers(), which trips shutdownToken().
  *
- *  - kShutdown: someone called requestCancel() — directly, or on a
- *    parent token this one chains to (the process-wide shutdownToken()
- *    flipped by the SIGINT/SIGTERM handler);
- *  - kDeadline: the wall-clock deadline set with setDeadlineAfter()
- *    passed. This is how CampaignOptions::timeoutSec preempts a
- *    running job instead of classifying it post-hoc.
- *
- * The first observed reason latches; cancellation points raise it as a
- * CancelledException, which the campaign engine maps to kTimeout /
- * kCancelled and which must never be swallowed by generic exception
- * firewalls (it is the preemption mechanism, not a failure).
+ * Cancellation points raise a CancelledException, which the campaign
+ * engine records as kCancelled and which must never be swallowed by
+ * generic exception firewalls (it is the preemption mechanism, not a
+ * failure).
  *
  * requestCancel() only stores to a lock-free atomic, so it is
  * async-signal-safe; installShutdownHandlers() relies on that.
@@ -26,7 +21,6 @@
 #define AOS_COMMON_CANCEL_HH
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 
 namespace aos {
@@ -44,88 +38,30 @@ class CancelledException : public std::runtime_error
 class CancelToken
 {
   public:
-    enum class Reason : int { kNone = 0, kShutdown = 1, kDeadline = 2 };
-
-    CancelToken() = default;
-    /** Chain to @p parent: its cancellation propagates into this token. */
-    explicit CancelToken(const CancelToken *parent) : _parent(parent) {}
-
-    /** Trip the token. Async-signal-safe (one atomic store). */
+    /** Trip the token; it stays tripped. Async-signal-safe. */
     void
-    requestCancel(Reason reason = Reason::kShutdown)
+    requestCancel()
     {
-        int expected = 0;
-        _reason.compare_exchange_strong(expected,
-                                        static_cast<int>(reason),
-                                        std::memory_order_release,
-                                        std::memory_order_relaxed);
+        _cancelled.store(true, std::memory_order_release);
     }
 
-    /** Arm a wall-clock deadline @p seconds from now. */
-    void
-    setDeadlineAfter(double seconds)
-    {
-        _deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
-        _hasDeadline = true;
-    }
-
-    /**
-     * Cancellation-point check. Latches the first reason observed
-     * (explicit request, parent trip, or deadline expiry).
-     */
+    /** Cancellation-point check. */
     bool
     cancelled() const
     {
-        if (_reason.load(std::memory_order_acquire) != 0)
-            return true;
-        if (_parent && _parent->cancelled()) {
-            latch(_parent->reason());
-            return true;
-        }
-        if (_hasDeadline &&
-            std::chrono::steady_clock::now() >= _deadline) {
-            latch(Reason::kDeadline);
-            return true;
-        }
-        return false;
-    }
-
-    Reason
-    reason() const
-    {
-        return static_cast<Reason>(_reason.load(std::memory_order_acquire));
+        return _cancelled.load(std::memory_order_acquire);
     }
 
     /** cancelled() that raises instead of returning true. */
     void
     throwIfCancelled() const
     {
-        if (!cancelled())
-            return;
-        throw CancelledException(reason() == Reason::kDeadline
-                                     ? "deadline exceeded"
-                                     : "shutdown requested");
+        if (cancelled())
+            throw CancelledException("shutdown requested");
     }
 
   private:
-    void
-    latch(Reason reason) const
-    {
-        int expected = 0;
-        _reason.compare_exchange_strong(
-            expected,
-            static_cast<int>(reason == Reason::kNone ? Reason::kShutdown
-                                                     : reason),
-            std::memory_order_release, std::memory_order_relaxed);
-    }
-
-    const CancelToken *_parent = nullptr;
-    mutable std::atomic<int> _reason{0};
-    bool _hasDeadline = false;
-    std::chrono::steady_clock::time_point _deadline{};
+    std::atomic<bool> _cancelled{false};
 };
 
 /** The process-wide shutdown token (tripped by SIGINT/SIGTERM). */
@@ -133,14 +69,11 @@ CancelToken &shutdownToken();
 
 /**
  * Idempotently install SIGINT/SIGTERM handlers that requestCancel()
- * shutdownToken(). The handlers only store to atomics; the orderly
- * unwind (flush checkpoints, exit nonzero with a resume hint) happens
- * at the harness level once the campaign returns.
+ * shutdownToken(). The handlers only store to an atomic; the orderly
+ * unwind (exit 130) happens at the harness level once the campaign
+ * returns.
  */
 void installShutdownHandlers();
-
-/** Signal number that tripped shutdownToken(), or 0. */
-int shutdownSignal();
 
 } // namespace aos
 

@@ -177,8 +177,6 @@ RunResult::toStatSet() const
                 static_cast<double>(faults.perTypeDetected[t]);
         }
     }
-    for (const auto &[name, stat] : extra.scalars())
-        set.scalar(name) = stat.value();
     return set;
 }
 

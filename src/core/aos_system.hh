@@ -78,15 +78,6 @@ struct RunResult
     faultinject::FaultStats faults;
     std::vector<faultinject::FaultEvent> faultEvents;
 
-    /**
-     * Campaign-body extension point: scalars a custom job body injects
-     * here flow through toStatSet() into JobResult.stats, the
-     * checkpoint, and the canonical JSON — so body-level outcomes
-     * (e.g. the chaos audit's per-scenario verdicts) survive resume
-     * and reduce exactly like simulator stats.
-     */
-    StatSet extra = StatSet("extra");
-
     /** Flatten into a named stat set (gem5-style dump). */
     StatSet toStatSet() const;
 

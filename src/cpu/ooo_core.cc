@@ -210,7 +210,7 @@ OoOCore::run(ir::InstStream &stream, u64 max_ops)
 
         ++now;
 
-        // Cancellation point (campaign timeout / shutdown): cheap
+        // Cancellation point (shutdown request): cheap
         // enough at one check per 1024 cycles to be invisible in the
         // hot-loop profile, frequent enough to preempt within an
         // op-quantum (the issue width bounds ops per cycle).

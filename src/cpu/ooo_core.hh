@@ -58,7 +58,7 @@ struct CoreConfig
 
     /**
      * Polled every 1024 cycles in run(); raises CancelledException at
-     * that cancellation point so campaign timeouts/shutdown preempt a
+     * that cancellation point so a shutdown request preempts a
      * simulation at op granularity. Null disables (not owned).
      */
     const CancelToken *cancel = nullptr;

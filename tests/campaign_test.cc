@@ -1,15 +1,15 @@
 /**
  * @file
  * Tests for the experiment-campaign engine (src/campaign): determinism
- * parity across worker counts, exception capture, bounded retry,
- * wall-clock timeout classification, reducers, aggregation, and the
- * JSON emission contract.
+ * parity across worker counts, exception capture, cooperative
+ * cancellation, reducers, aggregation, and the JSON emission contract.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -28,20 +28,38 @@ using baselines::Mechanism;
 
 constexpr u64 kTinyOps = 3'000;
 
+/** A body job that ignores the cancel token and runs @p body. */
+Job
+plainJob(const std::string &name, std::function<core::RunResult()> body)
+{
+    Job job;
+    job.name = name;
+    job.cancellableBody = [body = std::move(body)](const CancelToken &) {
+        return body();
+    };
+    return job;
+}
+
 /** A body job returning a RunResult with a chosen cycle count. */
 Job
 bodyJob(const std::string &name, u64 cycles)
 {
-    Job job;
-    job.name = name;
-    job.body = [cycles] {
+    return plainJob(name, [cycles] {
         core::RunResult r;
         r.workload = "body";
         r.core.cycles = cycles;
         r.core.committed = cycles;
         return r;
-    };
-    return job;
+    });
+}
+
+/** A body job that throws std::runtime_error(@p what) on every run. */
+Job
+throwingJob(const std::string &name, std::string what)
+{
+    return plainJob(name, [what]() -> core::RunResult {
+        throw std::runtime_error(what);
+    });
 }
 
 /** The two cheapest SPEC profiles keep simulation tests fast. */
@@ -101,15 +119,14 @@ TEST(CampaignDeterminism, SeedChangesTheRun)
 TEST(CampaignRobustness, ExceptionIsCapturedAndSweepContinues)
 {
     setQuiet(true);
+    auto runs = std::make_shared<std::atomic<int>>(0);
     CampaignOptions options;
     options.workers = 2;
     Campaign c(options);
-    Job bad;
-    bad.name = "bad";
-    bad.body = []() -> core::RunResult {
+    c.add(plainJob("bad", [runs]() -> core::RunResult {
+        runs->fetch_add(1);
         throw std::runtime_error("deliberate failure");
-    };
-    c.add(std::move(bad));
+    }));
     c.add(bodyJob("good", 100));
 
     CampaignResult r = c.run();
@@ -119,96 +136,37 @@ TEST(CampaignRobustness, ExceptionIsCapturedAndSweepContinues)
     EXPECT_EQ(r.jobs[0].status, JobStatus::kFailed);
     EXPECT_EQ(r.jobs[0].error, "deliberate failure");
     EXPECT_TRUE(r.jobs[1].ok());
+    // A job is a pure function of its spec: a failure is recorded, not
+    // rerun.
+    EXPECT_EQ(runs->load(), 1);
 }
 
-TEST(CampaignRobustness, BoundedRetryRecoversFlakyJob)
+TEST(CampaignRobustness, SimulationJobIsPreemptedByShutdown)
 {
+    // A real simulation polls the shutdown token at its cancellation
+    // points (OoOCore's cycle loop, AosSystem's fast-forward), so a
+    // trip mid-run preempts the job long before the full window would
+    // have finished.
     setQuiet(true);
-    auto attempts = std::make_shared<std::atomic<int>>(0);
+    CancelToken shutdown;
     CampaignOptions options;
-    options.maxAttempts = 3;
-    Campaign c(options);
-    Job flaky;
-    flaky.name = "flaky";
-    flaky.body = [attempts]() -> core::RunResult {
-        if (attempts->fetch_add(1) == 0)
-            throw std::runtime_error("transient");
-        core::RunResult r;
-        r.core.cycles = 42;
-        return r;
-    };
-    c.add(std::move(flaky));
-
-    CampaignResult r = c.run();
-    ASSERT_TRUE(r.allOk());
-    EXPECT_EQ(r.jobs[0].attempts, 2u);
-    EXPECT_EQ(r.jobs[0].run.core.cycles, 42u);
-    EXPECT_TRUE(r.jobs[0].error.empty());
-}
-
-TEST(CampaignRobustness, PersistentFailureExhaustsAttempts)
-{
-    setQuiet(true);
-    CampaignOptions options;
-    options.maxAttempts = 3;
-    Campaign c(options);
-    Job bad;
-    bad.name = "always-bad";
-    bad.body = []() -> core::RunResult {
-        throw std::logic_error("permanent");
-    };
-    c.add(std::move(bad));
-
-    CampaignResult r = c.run();
-    EXPECT_EQ(r.jobs[0].status, JobStatus::kFailed);
-    EXPECT_EQ(r.jobs[0].attempts, 3u);
-    EXPECT_EQ(r.jobs[0].error, "permanent");
-}
-
-TEST(CampaignRobustness, OverBudgetAttemptClassifiedAsTimeout)
-{
-    // A plain body never polls the CancelToken, so this exercises the
-    // post-hoc fallback classification.
-    setQuiet(true);
-    CampaignOptions options;
-    options.timeoutSec = 0.005;
-    options.maxAttempts = 3; // Timeouts must NOT retry.
-    Campaign c(options);
-    Job slow;
-    slow.name = "slow";
-    slow.body = []() -> core::RunResult {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return core::RunResult();
-    };
-    c.add(std::move(slow));
-
-    CampaignResult r = c.run();
-    EXPECT_EQ(r.jobs[0].status, JobStatus::kTimeout);
-    EXPECT_EQ(r.jobs[0].attempts, 1u);
-    EXPECT_NE(r.jobs[0].error.find("wall-clock budget"),
-              std::string::npos);
-}
-
-TEST(CampaignRobustness, SimulationJobIsPreemptedByTimeout)
-{
-    // A real simulation polls the token at its cancellation points, so
-    // an over-budget job is preempted cooperatively — recorded as
-    // kTimeout with its partial wall time long before the full window
-    // would have finished, and never retried.
-    setQuiet(true);
-    CampaignOptions options;
-    options.timeoutSec = 0.02;
-    options.maxAttempts = 3;
+    options.workers = 1;
+    options.cancel = &shutdown;
     Campaign c(options);
     // A window this large takes far longer than 20ms uncancelled.
     c.addConfig(workloads::profileByName("bzip2"),
                 Mechanism::kAos, 400'000'000);
 
+    std::thread tripper([&shutdown] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        shutdown.requestCancel();
+    });
     CampaignResult r = c.run();
-    EXPECT_EQ(r.jobs[0].status, JobStatus::kTimeout);
-    EXPECT_EQ(r.jobs[0].attempts, 1u);
-    EXPECT_NE(r.jobs[0].error.find("preempted"), std::string::npos);
-    // Preemption must land within one op-quantum of the deadline, not
+    tripper.join();
+
+    EXPECT_EQ(r.jobs[0].status, JobStatus::kCancelled);
+    EXPECT_TRUE(r.interrupted);
+    // Preemption must land within one poll quantum of the trip, not
     // after the whole window; 1s is orders of magnitude of slack.
     EXPECT_LT(r.jobs[0].wallMs, 1000.0);
 }
@@ -226,7 +184,7 @@ TEST(CampaignRobustness, CancellableBodyObservesShutdown)
     first.cancellableBody =
         [&shutdown](const CancelToken &token) -> core::RunResult {
         shutdown.requestCancel();
-        token.throwIfCancelled(); // Parent trip propagates here.
+        token.throwIfCancelled(); // The job polls the shutdown token.
         return core::RunResult();
     };
     c.add(std::move(first));
@@ -236,10 +194,20 @@ TEST(CampaignRobustness, CancellableBodyObservesShutdown)
     EXPECT_TRUE(r.interrupted);
     EXPECT_EQ(r.jobs[0].status, JobStatus::kCancelled);
     EXPECT_NE(r.jobs[0].error.find("shutdown"), std::string::npos);
-    // The queued job is skipped, not failed: it stays pending for a
-    // checkpoint resume.
+    // The queued job is skipped, not failed: it stays pending.
     EXPECT_EQ(r.jobs[1].status, JobStatus::kPending);
-    EXPECT_EQ(r.executedJobs, 0u);
+}
+
+TEST(Cancel, RequestLatches)
+{
+    CancelToken token;
+    EXPECT_FALSE(token.cancelled());
+    EXPECT_NO_THROW(token.throwIfCancelled());
+    token.requestCancel();
+    token.requestCancel(); // Idempotent.
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_TRUE(token.cancelled()); // Stays tripped once observed.
+    EXPECT_THROW(token.throwIfCancelled(), CancelledException);
 }
 
 TEST(CampaignPool, ManyJobsAllRunExactlyOnce)
@@ -251,15 +219,12 @@ TEST(CampaignPool, ManyJobsAllRunExactlyOnce)
     Campaign c(options);
     constexpr int kJobs = 64;
     for (int i = 0; i < kJobs; ++i) {
-        Job job;
-        job.name = csprintf("job%d", i);
-        job.body = [runs, i] {
+        c.add(plainJob(csprintf("job%d", i), [runs, i] {
             runs->fetch_add(1);
             core::RunResult r;
             r.core.cycles = static_cast<u64>(i);
             return r;
-        };
-        c.add(std::move(job));
+        }));
     }
     CampaignResult r = c.run();
     ASSERT_TRUE(r.allOk());
@@ -278,13 +243,10 @@ TEST(CampaignPool, JobsAreClaimedInSubmissionOrder)
     Campaign c(options);
     constexpr int kJobs = 16;
     for (int i = 0; i < kJobs; ++i) {
-        Job job;
-        job.name = csprintf("job%d", i);
-        job.body = [order, i] {
+        c.add(plainJob(csprintf("job%d", i), [order, i] {
             order->push_back(i);
             return core::RunResult{};
-        };
-        c.add(std::move(job));
+        }));
     }
     ASSERT_TRUE(c.run().allOk());
     ASSERT_EQ(order->size(), static_cast<size_t>(kJobs));
@@ -333,12 +295,7 @@ TEST(CampaignAggregation, MergedStatSetSumsOkJobs)
     Campaign c(CampaignOptions{});
     c.add(bodyJob("a", 10));
     c.add(bodyJob("b", 20));
-    Job bad;
-    bad.name = "bad";
-    bad.body = []() -> core::RunResult {
-        throw std::runtime_error("nope");
-    };
-    c.add(std::move(bad));
+    c.add(throwingJob("bad", "nope"));
 
     CampaignResult r = c.run();
     // Failed jobs contribute nothing to the rollup.
@@ -370,12 +327,7 @@ TEST(CampaignJson, ErrorsAndStatusAreEmitted)
 {
     setQuiet(true);
     Campaign c(CampaignOptions{});
-    Job bad;
-    bad.name = "bad";
-    bad.body = []() -> core::RunResult {
-        throw std::runtime_error("json \"quoted\" message");
-    };
-    c.add(std::move(bad));
+    c.add(throwingJob("bad", "json \"quoted\" message"));
     CampaignResult r = c.run();
     const std::string doc = r.json(false);
     EXPECT_NE(doc.find("\"status\": \"failed\""), std::string::npos);
@@ -393,7 +345,7 @@ TEST(CampaignMisc, FindAndStatusNames)
     EXPECT_EQ(r.find("alpha")->run.core.cycles, 1u);
     EXPECT_EQ(r.find("missing"), nullptr);
     EXPECT_STREQ(jobStatusName(JobStatus::kOk), "ok");
-    EXPECT_STREQ(jobStatusName(JobStatus::kTimeout), "timeout");
+    EXPECT_STREQ(jobStatusName(JobStatus::kCancelled), "cancelled");
     EXPECT_STREQ(reduceOpName(ReduceOp::kGeomean), "geomean");
 }
 
