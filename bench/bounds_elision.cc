@@ -9,8 +9,8 @@
  * coverage and the timing effect as one campaign, then tries every
  * plan in court: per profile, the full and elided streams are replayed
  * through the ObligationChecker (ground-truth parity, obligation
- * replay, aligned fault injection) and any lost detection fails the
- * run.
+ * replay, aligned pointer-fault replay) and any lost detection fails
+ * the run.
  *
  * Exit status is the gate scripts/check.sh relies on: non-zero when a
  * checker rejects a plan, a verifier contract fires, or coverage drops
@@ -196,13 +196,13 @@ main()
                     static_cast<unsigned long long>(
                         report.obligationsViolated),
                     static_cast<unsigned long long>(
-                        report.faultsInjectedFull),
+                        report.fullFaultStats.totalInjected()),
                     static_cast<unsigned long long>(
-                        report.faultsInjectedElided),
+                        report.elidedFaultStats.totalInjected()),
                     static_cast<unsigned long long>(
-                        report.faultsDetectedFull),
+                        report.fullFaultStats.totalDetected()),
                     static_cast<unsigned long long>(
-                        report.faultsDetectedElided),
+                        report.elidedFaultStats.totalDetected()),
                     report.ok ? "OK" : "FAIL");
         if (!report.ok) {
             for (const auto &failure : report.failures)

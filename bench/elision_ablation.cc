@@ -258,10 +258,10 @@ main()
                               : "PARITY FAILURE: elision dropped a "
                                 "security-relevant check!");
 
-    // --- Fault-matrix parity under bounds elision ---
+    // --- Pointer-fault parity under bounds elision ---
     // A representative program mixing elidable private chunks with an
     // escaping, an out-of-bounds and a use-after-free chunk; the
-    // ObligationChecker injects the aligned fault matrix into the full
+    // ObligationChecker injects aligned pointer faults into the full
     // and the bounds-elided lowering, and per fault class the elided
     // stream must detect at least as much as the full one.
     bool fault_ok = true;
@@ -311,23 +311,20 @@ main()
                         plan.stats().chunksSeen));
         std::printf("  %-16s %9s %9s %9s %9s\n", "fault class", "inj",
                     "inj-el", "det", "det-el");
-        for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
+        for (unsigned t = 0; t < staticcheck::kNumPointerFaults; ++t) {
             const auto &fs = report.fullFaultStats;
             const auto &es = report.elidedFaultStats;
-            if (fs.perType[t] == 0 && es.perType[t] == 0)
+            if (fs.injected[t] == 0 && es.injected[t] == 0)
                 continue;
             std::printf("  %-16s %9llu %9llu %9llu %9llu   %s\n",
-                        faultinject::faultTypeName(
-                            static_cast<faultinject::FaultType>(t)),
-                        static_cast<unsigned long long>(fs.perType[t]),
-                        static_cast<unsigned long long>(es.perType[t]),
-                        static_cast<unsigned long long>(
-                            fs.perTypeDetected[t]),
-                        static_cast<unsigned long long>(
-                            es.perTypeDetected[t]),
-                        es.perTypeDetected[t] >= fs.perTypeDetected[t]
-                            ? "PARITY"
-                            : "MISMATCH");
+                        staticcheck::pointerFaultName(
+                            static_cast<staticcheck::PointerFault>(t)),
+                        static_cast<unsigned long long>(fs.injected[t]),
+                        static_cast<unsigned long long>(es.injected[t]),
+                        static_cast<unsigned long long>(fs.detected[t]),
+                        static_cast<unsigned long long>(es.detected[t]),
+                        es.detected[t] >= fs.detected[t] ? "PARITY"
+                                                         : "MISMATCH");
         }
         std::printf("%s\n", fault_ok
                                 ? "  bounds elision lost no fault "

@@ -2,9 +2,9 @@
 # Full local gate: default build + tier-1 tests, sanitizer build +
 # tests, thread-sanitizer pass over the concurrent subsystems
 # (campaign pool, logging), campaign-engine smoke (JSON emission +
-# serial/parallel parity), fault-matrix smoke (graceful-degradation
-# audit under sanitizers), bounds-elision ablation (obligation gates +
-# jobs parity) and clang-tidy lint. Run from the repository root:
+# serial/parallel parity), bounds-elision ablation (obligation gates,
+# including the pointer-fault replay, + jobs parity) and clang-tidy
+# lint. Run from the repository root:
 #
 #   scripts/check.sh              # everything
 #   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip ASan and TSan
@@ -19,18 +19,18 @@ cd "$(dirname "$0")/.."
 
 JOBS="${AOS_CHECK_JOBS:-$(nproc)}"
 
-echo "== [1/8] default build =="
+echo "== [1/7] default build =="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 
-echo "== [2/8] tier-1 tests =="
+echo "== [2/7] tier-1 tests =="
 ctest --preset default -j "${JOBS}"
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [3/8] sanitizer build + fast tests (ASan+UBSan) =="
+    echo "== [3/7] sanitizer build + fast tests (ASan+UBSan) =="
     cmake --preset sanitize
     cmake --build --preset sanitize -j "${JOBS}"
     ctest --preset sanitize -LE slow -j "${JOBS}"
@@ -40,11 +40,11 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
 else
-    echo "== [3/8] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [3/7] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    echo "== [4/8] thread-sanitizer pass (TSan) =="
+    echo "== [4/7] thread-sanitizer pass (TSan) =="
     # The campaign worker pool and logging sinks are the only
     # concurrent subsystems: build exactly what exercises them, run
     # their suites, then drive a jobs=4 campaign end to end under TSan
@@ -60,7 +60,7 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/tsan-smoke.json"
     echo "tsan: concurrency suites OK"
 else
-    echo "== [4/8] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
+    echo "== [4/7] TSan pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi
 
 # Strip the timing-only fields (each JSON member is on its own line)
@@ -75,7 +75,7 @@ json_parity() {
     fi
 }
 
-echo "== [5/8] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
+echo "== [5/7] campaign smoke (JSON + jobs=1 vs jobs=4 parity) =="
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/serial.json" ./build/bench/campaign_smoke
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
@@ -86,23 +86,7 @@ json_parity "${SMOKE_DIR}/serial.json" "${SMOKE_DIR}/parallel.json" \
     "campaign smoke"
 echo "campaign smoke: parity OK"
 
-echo "== [6/8] fault-matrix smoke (DESIGN.md §8 audit) =="
-# Run the graceful-degradation audit under the sanitizer build when
-# available — injected corruption must be UB-free, not just survivable.
-FAULT_BIN=./build/bench/fault_matrix
-if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
-    FAULT_BIN=./build-sanitize/bench/fault_matrix
-fi
-AOS_SIM_OPS=40000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/fault1.json" "${FAULT_BIN}"
-AOS_SIM_OPS=40000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/faultN.json" "${FAULT_BIN}"
-grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/fault1.json"
-json_parity "${SMOKE_DIR}/fault1.json" "${SMOKE_DIR}/faultN.json" \
-    "fault matrix"
-echo "fault matrix: audit + parity OK"
-
-echo "== [7/8] bounds-elision ablation (obligation gates + parity) =="
+echo "== [6/7] bounds-elision ablation (obligation gates + parity) =="
 # The benchmark itself exits non-zero if any ObligationChecker gate
 # fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
 # the determinism contract on top.
@@ -117,7 +101,7 @@ json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
     "bounds elision"
 echo "bounds elision: gates + parity OK"
 
-echo "== [8/8] lint =="
+echo "== [7/7] lint =="
 cmake --build --preset default --target lint
 
 echo "All checks passed."

@@ -23,8 +23,8 @@
  * have fired in the ground-truth execution, so removing them cannot
  * remove a detection. The obligations are not trusted — the
  * staticcheck::ObligationChecker replays each one against the
- * StreamExecutor and the fault-injection engine and fails loudly if
- * any assumption does not hold dynamically.
+ * StreamExecutor, clean and under seeded pointer faults, and fails
+ * loudly if any assumption does not hold dynamically.
  */
 
 #ifndef AOS_ANALYSIS_DATAFLOW_ELISION_PLAN_HH

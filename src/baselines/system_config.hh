@@ -80,12 +80,11 @@ struct SystemOptions
      */
     const CancelToken *cancel = nullptr;
 
-    // Fault injection (DESIGN.md §8). faultTypes is a bitmask of
-    // faultinject::FaultType bits; zero disarms the injector. Kept as
-    // plain integers so this header stays dependency-free.
-    u32 faultTypes = 0;       //!< Which fault classes to schedule.
-    unsigned faultCount = 1;  //!< Scheduled faults per selected class.
-    u64 faultSeed = 0;        //!< Fault-plan RNG seed.
+    /**
+     * Fault injection was removed; AosSystem rejects any nonzero value.
+     * Kept only because perfbench/traced_system.cc still reads it.
+     */
+    u32 faultTypes = 0;
 
     bool usesAos() const
     {

@@ -201,101 +201,6 @@ HashedBoundsTable::finishResize()
     }
 }
 
-std::optional<SlotRef>
-HashedBoundsTable::findOccupied(u64 start_pac) const
-{
-    const unsigned nways = ways();
-    for (u64 i = 0; i < _rows; ++i) {
-        const u64 pac = (start_pac + i) % _rows;
-        for (unsigned w = 0; w < nways; ++w) {
-            const WayLine line = readWay(pac, w);
-            for (unsigned s = 0; s < line.count; ++s) {
-                if (line.slots[s] != kEmpty)
-                    return SlotRef{pac, w, s, line.slots[s]};
-            }
-        }
-    }
-    return std::nullopt;
-}
-
-Compressed
-HashedBoundsTable::corruptRecord(u64 pac, unsigned way, unsigned slot,
-                                 Compressed value)
-{
-    unsigned local;
-    Table &table = resolve(pac, way, &local);
-    Compressed *line = table.way(pac, local);
-    const unsigned s = slot % table.recordsPerWay;
-    const Compressed before = line[s];
-    line[s] = value;
-    if (before == kEmpty && value != kEmpty) {
-        ++_stats.occupied;
-        _stats.maxOccupied = std::max(_stats.maxOccupied, _stats.occupied);
-    } else if (before != kEmpty && value == kEmpty) {
-        --_stats.occupied;
-    }
-    return before;
-}
-
-unsigned
-HashedBoundsTable::zapLine(u64 pac, unsigned way)
-{
-    unsigned local;
-    Table &table = resolve(pac, way, &local);
-    Compressed *line = table.way(pac, local);
-    unsigned lost = 0;
-    for (unsigned s = 0; s < table.recordsPerWay; ++s) {
-        if (line[s] != kEmpty) {
-            line[s] = kEmpty;
-            ++lost;
-        }
-    }
-    _stats.occupied -= lost;
-    return lost;
-}
-
-HashedBoundsTable::Table *
-HashedBoundsTable::tableForLine(Addr line_addr, u64 *pac, unsigned *way)
-{
-    const Addr addr = line_addr & ~Addr{63};
-    Table *tables[2] = {&_primary, _next ? &*_next : nullptr};
-    for (Table *table : tables) {
-        if (!table || addr < table->base)
-            continue;
-        const Addr offset = addr - table->base;
-        const unsigned shift = log2i(u64{table->assoc}) + 6;
-        const u64 row = offset >> shift;
-        if (row >= _rows)
-            continue;
-        *pac = row;
-        *way = static_cast<unsigned>((offset >> 6) & (table->assoc - 1));
-        return table;
-    }
-    return nullptr;
-}
-
-std::optional<std::pair<Compressed, Compressed>>
-HashedBoundsTable::corruptLineAtAddr(Addr line_addr, unsigned slot, u64 mask)
-{
-    u64 pac;
-    unsigned way;
-    Table *table = tableForLine(line_addr, &pac, &way);
-    if (!table)
-        return std::nullopt;
-    Compressed *line = table->way(pac, way);
-    const unsigned s = slot % table->recordsPerWay;
-    const Compressed before = line[s];
-    const Compressed after = before ^ mask;
-    line[s] = after;
-    if (before == kEmpty && after != kEmpty) {
-        ++_stats.occupied;
-        _stats.maxOccupied = std::max(_stats.maxOccupied, _stats.occupied);
-    } else if (before != kEmpty && after == kEmpty) {
-        --_stats.occupied;
-    }
-    return std::make_pair(before, after);
-}
-
 unsigned
 HashedBoundsTable::rowOccupancy(u64 pac) const
 {

@@ -27,7 +27,6 @@
 
 #include <functional>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "bounds/compression.hh"
@@ -60,15 +59,6 @@ struct WayLine
     Addr addr = 0;                  //!< Simulated 64-byte-aligned address.
     const Compressed *slots = nullptr; //!< count records.
     unsigned count = 0;             //!< Records in this line.
-};
-
-/** A located occupied record (fault injection / table inspection). */
-struct SlotRef
-{
-    u64 pac = 0;
-    unsigned way = 0;    //!< Fig. 10 global way index.
-    unsigned slot = 0;
-    Compressed record = kEmpty;
 };
 
 class HashedBoundsTable
@@ -140,40 +130,11 @@ class HashedBoundsTable
     void beginResize();
 
     /**
-     * Test/fault hook invoked just before beginResize() allocates the
+     * Test hook invoked just before beginResize() allocates the
      * doubled table, with the new table's slot count. Throwing from it
      * models OS allocation failure.
      */
     std::function<void(u64 slots)> onResizeAlloc;
-
-    // -- Fault-injection surface (src/faultinject, DESIGN.md §8). The
-    // -- mutators keep the occupancy statistics consistent so corrupted
-    // -- tables remain safe to keep simulating.
-
-    /**
-     * Find the first occupied record at or after row @p start_pac
-     * (wrapping). Returns nullopt when the table is empty.
-     */
-    std::optional<SlotRef> findOccupied(u64 start_pac) const;
-
-    /**
-     * Overwrite one record with an arbitrary (possibly corrupt) value,
-     * returning the previous contents.
-     */
-    Compressed corruptRecord(u64 pac, unsigned way, unsigned slot,
-                             Compressed value);
-
-    /** Zero a whole way line; returns how many live records were lost. */
-    unsigned zapLine(u64 pac, unsigned way);
-
-    /**
-     * XOR @p mask into record @p slot of the way line whose simulated
-     * address is @p line_addr (a DRAM bit error on bounds metadata).
-     * Returns {before, after}, or nullopt when the address is not
-     * backed by the current tables.
-     */
-    std::optional<std::pair<Compressed, Compressed>>
-    corruptLineAtAddr(Addr line_addr, unsigned slot, u64 mask);
 
     /** Migrate one row; returns true when migration completed. */
     bool migrateRow();
@@ -225,9 +186,6 @@ class HashedBoundsTable
     /** Resolve (pac, way) to table + local way index per Fig. 10. */
     const Table &resolve(u64 pac, unsigned way, unsigned *local_way) const;
     Table &resolve(u64 pac, unsigned way, unsigned *local_way);
-
-    /** Reverse-map a simulated line address to a table + row + way. */
-    Table *tableForLine(Addr line_addr, u64 *pac, unsigned *way);
 
     u64 _rows;
     unsigned _pacBits;

@@ -1,12 +1,9 @@
 #include "core/aos_system.hh"
 
-#include <exception>
-
 #include "analysis/dataflow/engine.hh"
 #include "common/cancel.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
-#include "common/random.hh"
 #include "compiler/aos_passes.hh"
 #include "compiler/pa_pass.hh"
 #include "compiler/asan_pass.hh"
@@ -15,25 +12,6 @@
 namespace aos::core {
 
 namespace {
-
-faultinject::ProtectionModel
-protectionModel(baselines::Mechanism mech)
-{
-    switch (mech) {
-      case baselines::Mechanism::kWatchdog:
-        return faultinject::ProtectionModel::kWatchdog;
-      case baselines::Mechanism::kPa:
-        return faultinject::ProtectionModel::kPa;
-      case baselines::Mechanism::kAos:
-        return faultinject::ProtectionModel::kAos;
-      case baselines::Mechanism::kPaAos:
-        return faultinject::ProtectionModel::kPaAos;
-      case baselines::Mechanism::kBaseline:
-      case baselines::Mechanism::kAsan: // ASan detection is not modeled.
-        return faultinject::ProtectionModel::kNone;
-    }
-    return faultinject::ProtectionModel::kNone;
-}
 
 ir::OpMixStats
 mixDelta(const ir::OpMixStats &after, const ir::OpMixStats &before)
@@ -153,30 +131,6 @@ RunResult::toStatSet() const
                 static_cast<double>(count);
         }
     }
-    if (faults.armed) {
-        set.scalar("fault_scheduled") =
-            static_cast<double>(faults.scheduled);
-        set.scalar("fault_injected") = static_cast<double>(faults.injected);
-        set.scalar("fault_detected_autm") =
-            static_cast<double>(faults.detectedAutm);
-        set.scalar("fault_detected_bounds") =
-            static_cast<double>(faults.detectedBounds);
-        set.scalar("fault_tolerated") =
-            static_cast<double>(faults.tolerated);
-        set.scalar("fault_silent") = static_cast<double>(faults.silent);
-        set.scalar("fault_sim_fault") = static_cast<double>(faults.simFault);
-        set.scalar("fault_coverage") = faults.coverage();
-        for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
-            if (!faults.perType[t])
-                continue;
-            const std::string name = faultinject::faultTypeName(
-                static_cast<faultinject::FaultType>(t));
-            set.scalar("fault_" + name + "_injected") =
-                static_cast<double>(faults.perType[t]);
-            set.scalar("fault_" + name + "_detected") =
-                static_cast<double>(faults.perTypeDetected[t]);
-        }
-    }
     return set;
 }
 
@@ -190,6 +144,10 @@ AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
                      const baselines::SystemOptions &options)
     : _profile(profile), _options(options)
 {
+    fatal_if(options.faultTypes != 0,
+             "SystemOptions::faultTypes is set, but fault injection was "
+             "removed from the simulator");
+
     // Narrow the VA when a wide PAC would not fit the 64-bit layout.
     const unsigned va_bits =
         options.pacBits <= 16 ? 46 : 62 - options.pacBits;
@@ -242,40 +200,6 @@ AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
         engine.run(analysis_copy, options.cancel);
         _boundsPlan = std::make_unique<analysis::dataflow::ElisionPlan>(
             analysis::dataflow::planBoundsElision(engine));
-    }
-
-    if (options.faultTypes != 0) {
-        // Faults against structures a configuration does not have are
-        // meaningless: restrict the plan to the applicable classes so
-        // per-cell schedules stay comparable across mechanisms.
-        u32 types = options.faultTypes;
-        if (!options.usesAos())
-            types &= ~(faultinject::kMetadataFaults | faultinject::kMcuFaults);
-        faultinject::FaultPlanConfig plan_config;
-        plan_config.types = types;
-        plan_config.perType = options.faultCount;
-        plan_config.opWindow = options.measureOps;
-        // Same per-(workload, seedSalt, faultSeed) schedule for every
-        // mechanism, and bit-identical regardless of worker placement.
-        plan_config.seed = options.faultSeed ^
-                           Rng::hashName(profile.name) ^ options.seedSalt;
-        _faultPlan = std::make_unique<faultinject::FaultPlan>(plan_config);
-
-        faultinject::InjectorEnv env;
-        env.layout = layout;
-        env.model = protectionModel(options.mech);
-        env.hbt = _os ? &_os->hbt() : nullptr;
-        env.inChunk = [this](Addr base, Addr addr) {
-            return _workload->allocator().inBounds(base, addr);
-        };
-        _injector =
-            std::make_unique<faultinject::FaultInjector>(*_faultPlan, env);
-
-        _mem->boundsTap = [this](Addr addr, bool write) {
-            _injector->onBoundsAccess(addr, write);
-        };
-        if (_mcu)
-            _mcu->faultHooks = _injector.get();
     }
 
     buildPipeline();
@@ -338,14 +262,6 @@ AosSystem::buildPipeline()
         _verified = std::make_unique<staticcheck::VerifyingStream>(
             _pipeline.get(), _verifier.get());
         _stream = _verified.get();
-    }
-    if (_injector) {
-        // Outermost, so the op-mix counters and the stream verifier
-        // observe the clean program: injected corruption models
-        // hardware faults, not miscompilation.
-        _faulting = std::make_unique<faultinject::FaultingStream>(
-            _stream, _injector.get());
-        _stream = _faulting.get();
     }
 }
 
@@ -440,24 +356,7 @@ AosSystem::run()
         // Run until the bounded source stream ends: every configuration
         // executes the same program work; instrumented instructions are
         // extra, exactly as in the paper's methodology.
-        if (_injector) {
-            // Graceful-degradation contract: corrupted state must never
-            // escape as an exception. (panic() aborts and is out of
-            // scope; anything catchable is tallied as a simulator fault
-            // instead of killing the sweep.)
-            try {
-                _core->run(*_stream, 0);
-            } catch (const CancelledException &) {
-                // Not a simulator fault: cancellation is the campaign
-                // preempting this job, and must reach its engine.
-                throw;
-            } catch (const std::exception &) {
-                _injector->noteSimulatorFault(
-                    faultinject::FaultType::kNumTypes);
-            }
-        } else {
-            _core->run(*_stream, 0);
-        }
+        _core->run(*_stream, 0);
     }
 
     RunResult result;
@@ -489,10 +388,6 @@ AosSystem::run()
         result.verifySuppressed = _verifier->suppressedDiagnostics();
         result.verifyRuleCounts = _verifier->ruleCounts();
         result.verifyFindings = _verifier->diagnostics();
-    }
-    if (_injector) {
-        result.faults = _injector->stats();
-        result.faultEvents = _injector->events();
     }
     const u64 mispredicts =
         _core->predictor().stats().mispredicts - mispred_before;

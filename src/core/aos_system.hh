@@ -31,9 +31,6 @@
 #include "compiler/aos_elide_pass.hh"
 #include "compiler/op_counter.hh"
 #include "cpu/ooo_core.hh"
-#include "faultinject/faulting_stream.hh"
-#include "faultinject/fault_plan.hh"
-#include "faultinject/injector.hh"
 #include "mcu/memory_check_unit.hh"
 #include "memsim/memory_system.hh"
 #include "os/os_model.hh"
@@ -73,10 +70,6 @@ struct RunResult
     u64 verifySuppressed = 0;     //!< Findings deduplicated or capped.
     std::map<staticcheck::RuleId, u64> verifyRuleCounts;
     std::vector<staticcheck::Diagnostic> verifyFindings;
-
-    // Fault injection (options.faultTypes != 0, DESIGN.md §8).
-    faultinject::FaultStats faults;
-    std::vector<faultinject::FaultEvent> faultEvents;
 
     /** Flatten into a named stat set (gem5-style dump). */
     StatSet toStatSet() const;
@@ -119,9 +112,6 @@ class AosSystem
     compiler::AosBoundsElidePass *_belide = nullptr;
     std::unique_ptr<staticcheck::StreamVerifier> _verifier;
     std::unique_ptr<staticcheck::VerifyingStream> _verified;
-    std::unique_ptr<faultinject::FaultPlan> _faultPlan;
-    std::unique_ptr<faultinject::FaultInjector> _injector;
-    std::unique_ptr<faultinject::FaultingStream> _faulting;
     // Ops fast-forward over-pulled past the phase mark, re-served to
     // the measure loop (fastForward() splices it in front of _stream).
     std::unique_ptr<ir::CarryStream> _ffCarry;

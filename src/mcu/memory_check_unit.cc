@@ -315,17 +315,6 @@ MemoryCheckUnit::stepEntry(McqEntry &entry, Tick now, unsigned &ports)
             break;
         }
         entry.started = false;
-        if (faultHooks && faultHooks->dropWayResponse(entry.seq, entry.way)) {
-            // The way response never arrived: re-issue the access.
-            ++_stats.droppedResponses;
-            entry.readyAt = now + 1;
-            break;
-        }
-        if (faultHooks &&
-            faultHooks->duplicateWayResponse(entry.seq, entry.way)) {
-            // A second copy of the response shows up; count and drop it.
-            ++_stats.duplicatedResponses;
-        }
         const bounds::WayLine line = _hbt->readWay(entry.pac, entry.way);
         bool ok = false;
         if (entry.type == McqType::kBndstr) {
@@ -359,15 +348,6 @@ MemoryCheckUnit::stepEntry(McqEntry &entry, Tick now, unsigned &ports)
             break;
         }
         entry.started = false;
-        if (faultHooks && faultHooks->dropWayResponse(entry.seq, entry.way)) {
-            ++_stats.droppedResponses;
-            entry.readyAt = now + 1;
-            break;
-        }
-        if (faultHooks &&
-            faultHooks->duplicateWayResponse(entry.seq, entry.way)) {
-            ++_stats.duplicatedResponses;
-        }
         const bounds::WayLine line = _hbt->readWay(entry.pac, entry.way);
         bool found = false;
         for (unsigned s = 0; s < line.count; ++s) {
@@ -441,9 +421,6 @@ MemoryCheckUnit::stepEntry(McqEntry &entry, Tick now, unsigned &ports)
 void
 MemoryCheckUnit::tick(Tick now)
 {
-    if (faultHooks)
-        faultHooks->onMcuTick(now);
-
     // The micro-architectural table manager migrates rows in the
     // background during a gradual resize (SV-F3).
     if (_hbt->resizing()) {

@@ -33,7 +33,6 @@
 #include "bounds/bounds_way_buffer.hh"
 #include "common/flat_map.hh"
 #include "bounds/hashed_bounds_table.hh"
-#include "faultinject/fault.hh"
 #include "ir/micro_op.hh"
 #include "memsim/memory_system.hh"
 #include "pa/pointer_layout.hh"
@@ -131,8 +130,6 @@ struct McuStats
     u64 clearFailures = 0;
     u64 storeOverflows = 0;
     u64 waysTouchedTotal = 0;
-    u64 droppedResponses = 0;   //!< Way responses lost and re-issued.
-    u64 duplicatedResponses = 0;//!< Way responses delivered twice.
 
     double
     avgWaysPerCheck() const
@@ -167,8 +164,7 @@ class MemoryCheckUnit
     bool
     full() const
     {
-        return _count >= _config.mcqEntries ||
-               (faultHooks && faultHooks->stallQueue());
+        return _count >= _config.mcqEntries;
     }
 
     bool empty() const { return _count == 0; }
@@ -212,14 +208,6 @@ class MemoryCheckUnit
      * e.g. after an HBT resize), false to let it stand as a violation.
      */
     std::function<bool(FaultKind, const McqEntry &)> onFault;
-
-    /**
-     * Optional fault-injection hooks (DESIGN.md §8): sustained-full
-     * MCQ windows and dropped/duplicated way responses. The MCU keeps
-     * its check guarantees under all of them — a dropped response is
-     * re-issued, a duplicate is discarded after being counted.
-     */
-    faultinject::McuFaultHooks *faultHooks = nullptr;
 
     const McuStats &stats() const { return _stats; }
     size_t occupancy() const { return _count; }

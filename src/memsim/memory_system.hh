@@ -16,7 +16,6 @@
 #ifndef AOS_MEMSIM_MEMORY_SYSTEM_HH
 #define AOS_MEMSIM_MEMORY_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 
 #include "memsim/cache.hh"
@@ -54,16 +53,8 @@ class MemorySystem
     Cycles
     boundsAccess(Addr addr, bool write)
     {
-        if (boundsTap)
-            boundsTap(addr, write);
         return _boundsCache->access(addr, write);
     }
-
-    /**
-     * Observation hook for bounds-metadata traffic; the fault injector
-     * uses it as the trigger domain for DRAM bit errors (DESIGN.md §8).
-     */
-    std::function<void(Addr addr, bool write)> boundsTap;
 
     /** Total bytes moved between all cache levels and to DRAM. */
     u64 networkTraffic() const;

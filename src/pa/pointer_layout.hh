@@ -80,9 +80,10 @@ class PointerLayout
     }
 
     /**
-     * Fault-injection hook: flip one bit of the metadata field. Bit 0
-     * is the PAC LSB; bits pacSize and pacSize+1 are the AHC, so a
-     * draw over [0, pacSize+2) strikes the whole signature.
+     * Pointer-fault replay hook (ObligationChecker phase 3): flip one
+     * bit of the metadata field. Bit 0 is the PAC LSB; bits pacSize
+     * and pacSize+1 are the AHC, so a draw over [0, pacSize+2) strikes
+     * the whole signature.
      */
     Addr
     flipMetaBit(Addr ptr, unsigned bit) const
@@ -90,7 +91,7 @@ class PointerLayout
         return ptr ^ (Addr{1} << (62 - _pacSize + bit % (_pacSize + 2)));
     }
 
-    /** Fault-injection hook: flip one virtual-address bit. */
+    /** Pointer-fault replay hook: flip one virtual-address bit. */
     Addr
     flipVaBit(Addr ptr, unsigned bit) const
     {

@@ -1,11 +1,12 @@
 #include "staticcheck/obligation_checker.hh"
 
+#include <algorithm>
+#include <deque>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "faultinject/fault_plan.hh"
-#include "faultinject/injector.hh"
+#include "common/random.hh"
 
 namespace aos::staticcheck {
 
@@ -75,7 +76,143 @@ attributionBase(const ir::MicroOp &op, const pa::PointerLayout &layout)
     return op.chunkBase != 0 ? op.chunkBase : layout.strip(op.addr);
 }
 
+/** Phase 3's schedule: this many faults of each class, from this seed. */
+constexpr unsigned kFaultsPerType = 4;
+constexpr u64 kFaultSeed = 0xa05b0071u;
+
+/**
+ * Injects phase 3's pointer faults into one replay and judges each one
+ * against PA+AOS at fire time, asking the replay's own HBT what the
+ * MCU would see. The schedule is a pure function of the op window:
+ * every fault draws its parameters a, b and then its trigger from one
+ * seeded Rng, class by class, and the triggers are stably sorted. A
+ * fault due at a shared op waits in a FIFO for the next signed autm,
+ * load or store, which it corrupts in place.
+ */
+class PointerFaultInjector
+{
+  public:
+    PointerFaultInjector(const pa::PointerLayout &layout, u64 op_window,
+                         const bounds::HashedBoundsTable &hbt,
+                         const InstanceCursor &cursor)
+        : _layout(layout), _hbt(hbt), _cursor(cursor)
+    {
+        Rng rng(kFaultSeed ^ 0xfa017'1d3ec7ull);
+        const u64 window = std::max<u64>(op_window, 1);
+        for (unsigned t = 0; t < kNumPointerFaults; ++t) {
+            for (unsigned i = 0; i < kFaultsPerType; ++i) {
+                Fault fault;
+                fault.type = static_cast<PointerFault>(t);
+                fault.a = rng.next();
+                fault.b = rng.next();
+                fault.at = rng.below(window);
+                _schedule.push_back(fault);
+            }
+        }
+        std::stable_sort(_schedule.begin(), _schedule.end(),
+                         [](const Fault &x, const Fault &y) {
+                             return x.at < y.at;
+                         });
+    }
+
+    /** Arm the faults due at shared op @p index; maybe corrupt @p op. */
+    void
+    onOp(u64 index, ir::MicroOp &op)
+    {
+        while (_next < _schedule.size() && _schedule[_next].at <= index)
+            _pending.push_back(_schedule[_next++]);
+        if (_pending.empty() || !eligibleVictim(op))
+            return;
+        const Fault fault = _pending.front();
+        _pending.pop_front();
+
+        const Addr original = op.addr;
+        bool detected = false;
+        if (fault.type == PointerFault::kPacFlip) {
+            const auto bit =
+                static_cast<unsigned>(fault.a % (_layout.pacSize() + 2));
+            op.addr = _layout.flipMetaBit(original, bit);
+            detected = detectsMetaFlip(original, op.addr,
+                                       op.kind == ir::OpKind::kAutm);
+        } else {
+            // Flip within the 33-bit span the bounds compression
+            // covers; higher VA bits never hold heap addresses here.
+            const auto bit = static_cast<unsigned>(fault.b % 33);
+            op.addr = _layout.flipVaBit(original, bit);
+            detected = detectsVaFlip(op.addr, op.chunkBase);
+        }
+        const auto t = static_cast<unsigned>(fault.type);
+        ++_stats.injected[t];
+        if (detected)
+            ++_stats.detected[t];
+    }
+
+    const PointerFaultStats &stats() const { return _stats; }
+
+  private:
+    struct Fault
+    {
+        PointerFault type = PointerFault::kPacFlip;
+        u64 at = 0; //!< Shared-op ordinal the fault is armed at.
+        u64 a = 0;  //!< Metadata bit draw (kPacFlip).
+        u64 b = 0;  //!< VA bit draw (kVaFlip).
+    };
+
+    /** Signed pointers only: an autm right after the pointer's load
+     *  meets the corruption before any dereference. */
+    bool
+    eligibleVictim(const ir::MicroOp &op) const
+    {
+        return (op.kind == ir::OpKind::kAutm ||
+                op.kind == ir::OpKind::kLoad ||
+                op.kind == ir::OpKind::kStore) &&
+               _layout.signed_(op.addr);
+    }
+
+    bool
+    detectsMetaFlip(Addr original, Addr corrupt, bool autm_op) const
+    {
+        // The AHC was cleared: the pointer now looks unsigned and the
+        // MCU skips its check. Only autm catches the stripped signature.
+        if (!_layout.signed_(corrupt))
+            return autm_op;
+        // AHC-only change with the AHC still nonzero: the AHC feeds way
+        // prediction, not correctness.
+        if (_layout.pac(corrupt) == _layout.pac(original))
+            return false;
+        // Wrong PAC: the check runs against the wrong HBT row, and
+        // passes silently only on a PAC collision there.
+        return !_hbt.check(_layout.pac(corrupt), _layout.strip(corrupt), 0,
+                           nullptr);
+    }
+
+    bool
+    detectsVaFlip(Addr corrupt, Addr chunk_base) const
+    {
+        // Still inside the object: sub-object corruption is invisible
+        // to every bounds mechanism.
+        const Addr raw = _layout.strip(corrupt);
+        if (chunk_base && _cursor.inChunk(chunk_base, raw))
+            return false;
+        return !_hbt.check(_layout.pac(corrupt), raw, 0, nullptr);
+    }
+
+    const pa::PointerLayout &_layout;
+    const bounds::HashedBoundsTable &_hbt;
+    const InstanceCursor &_cursor;
+    std::vector<Fault> _schedule; //!< Sorted by trigger.
+    size_t _next = 0;             //!< First schedule entry not yet armed.
+    std::deque<Fault> _pending;   //!< Armed, waiting for a victim.
+    PointerFaultStats _stats;
+};
+
 } // namespace
+
+const char *
+pointerFaultName(PointerFault fault)
+{
+    return fault == PointerFault::kPacFlip ? "ptr_pac_flip" : "ptr_va_flip";
+}
 
 std::string
 ObligationReport::summary() const
@@ -88,9 +225,9 @@ ObligationReport::summary() const
        << elidedStats.detections() << " detections)";
     if (faultsChecked) {
         os << "; faults " << (faultParity ? "parity" : "MISMATCH")
-           << " (detected " << faultsDetectedFull << " full vs "
-           << faultsDetectedElided << " elided, " << simulatorFaults
-           << " sim faults, " << victimsInElidedRegions
+           << " (detected " << fullFaultStats.totalDetected()
+           << " full vs " << elidedFaultStats.totalDetected()
+           << " elided, " << victimsInElidedRegions
            << " victims in elided regions)";
     }
     return os.str();
@@ -132,7 +269,7 @@ ObligationChecker::check(const std::vector<ir::MicroOp> &full,
     // Phase 2: obligation replay against the ground-truth executor.
     replayObligations(full, plan, report);
 
-    // Phase 3: fault replay.
+    // Phase 3: pointer-fault replay.
     if (_options.checkFaults && !full.empty() && !elided.empty())
         replayFaults(full, elided, plan, report);
 
@@ -218,15 +355,9 @@ ObligationChecker::replayFaults(const std::vector<ir::MicroOp> &full,
         // else: dropped from the elided stream; consume full[i] only.
     }
 
-    faultinject::FaultPlanConfig config;
-    config.types = _options.faultTypes;
-    config.perType = _options.faultsPerType;
-    config.seed = _options.faultSeed;
-    config.opWindow = std::max<u64>(1, shared.size());
-
     struct FaultRun
     {
-        faultinject::FaultStats stats;
+        PointerFaultStats stats;
         u64 victimsInElided = 0;
     };
 
@@ -234,16 +365,8 @@ ObligationChecker::replayFaults(const std::vector<ir::MicroOp> &full,
                       bool use_full_index) {
         StreamExecutor exec(_options.layout);
         InstanceCursor cursor(plan);
-        faultinject::FaultPlan fault_plan(config);
-
-        faultinject::InjectorEnv env;
-        env.layout = _options.layout;
-        env.model = faultinject::ProtectionModel::kPaAos;
-        env.hbt = &exec.mutableHbt();
-        env.inChunk = [&cursor](Addr base, Addr addr) {
-            return cursor.inChunk(base, addr);
-        };
-        faultinject::FaultInjector injector(fault_plan, env);
+        PointerFaultInjector injector(_options.layout, shared.size(),
+                                      exec.hbt(), cursor);
 
         FaultRun run;
         size_t s = 0;
@@ -274,37 +397,24 @@ ObligationChecker::replayFaults(const std::vector<ir::MicroOp> &full,
 
     report.fullFaultStats = full_run.stats;
     report.elidedFaultStats = elided_run.stats;
-    report.faultsInjectedFull = full_run.stats.injected;
-    report.faultsInjectedElided = elided_run.stats.injected;
-    report.faultsDetectedFull = full_run.stats.detected();
-    report.faultsDetectedElided = elided_run.stats.detected();
     report.victimsInElidedRegions = elided_run.victimsInElided;
-    report.simulatorFaults =
-        full_run.stats.simFault + elided_run.stats.simFault;
 
     bool ok = true;
-    if (report.simulatorFaults != 0) {
-        ok = false;
-        report.failures.push_back("fault replay raised simulator faults");
-    }
     if (report.victimsInElidedRegions != 0) {
         ok = false;
         report.failures.push_back(
             "pointer fault struck an op inside an elided region: the "
             "pass left a signed access uninstrumented checks relied on");
     }
-    for (unsigned t = 0; t < faultinject::kNumFaultTypes; ++t) {
-        if (elided_run.stats.perTypeDetected[t] >=
-            full_run.stats.perTypeDetected[t]) {
+    for (unsigned t = 0; t < kNumPointerFaults; ++t) {
+        if (elided_run.stats.detected[t] >= full_run.stats.detected[t])
             continue;
-        }
         ok = false;
         std::ostringstream os;
         os << "lost fault detections for "
-           << faultinject::faultTypeName(
-                  static_cast<faultinject::FaultType>(t))
-           << ": full detected " << full_run.stats.perTypeDetected[t]
-           << ", elided detected " << elided_run.stats.perTypeDetected[t];
+           << pointerFaultName(static_cast<PointerFault>(t))
+           << ": full detected " << full_run.stats.detected[t]
+           << ", elided detected " << elided_run.stats.detected[t];
         report.failures.push_back(os.str());
     }
     report.faultParity = ok;

@@ -6,9 +6,9 @@
  * AosBoundsElidePass removes instrumentation a static analysis proved
  * dead and records a ProofObligation per elided chunk. This checker is
  * the court where those proofs are tried: it replays the full and the
- * elided stream against the ground-truth StreamExecutor and the PR 3
- * fault-injection engine, and fails loudly if reality disagrees with
- * any recorded assumption. Three phases:
+ * elided stream against the ground-truth StreamExecutor, once clean and
+ * once under seeded pointer faults, and fails loudly if reality
+ * disagrees with any recorded assumption. Three phases:
  *
  *  1. Benign parity — both streams execute under StreamExecutor; the
  *     per-category detection profile must be identical. Any attack the
@@ -20,19 +20,24 @@
  *     WOULD have fired: the obligation's assumptions were wrong, and
  *     the obligation is reported violated.
  *
- *  3. Fault replay — the same deterministic FaultPlan is injected into
- *     both streams. Only ops bit-identical in both streams (recovered
- *     by a subsequence match) are exposed to the injector, indexed by
- *     their shared ordinal, so both runs schedule identical faults
- *     onto identical victims. Gates: no simulator faults; no pointer
- *     fault in the elided run may land on an op inside an elided
- *     region (elided accesses are unsigned, so they carry no signature
- *     to corrupt — a victim there means the
- *     pass failed to strip); and per fault type the elided run must
- *     detect at least as many faults as the full run. The elided HBT
- *     holds a subset of the full run's records, so a corrupted pointer
- *     has fewer rows to collide with — detections can only stay equal
- *     or improve; a regression means an elided check was load-bearing.
+ *  3. Pointer-fault replay — the same seeded schedule of PAC/AHC and
+ *     VA bit flips is injected into both streams. Only ops
+ *     bit-identical in both streams (recovered by a subsequence match)
+ *     are exposed to the injector, indexed by their shared ordinal, so
+ *     both runs schedule identical faults onto identical victims.
+ *     Gates: no pointer fault in the elided run may land on an op
+ *     inside an elided region (elided accesses are unsigned, so they
+ *     carry no signature to corrupt — a victim there means the pass
+ *     failed to strip); and per fault class the elided run must detect
+ *     at least as many faults as the full run. The elided HBT holds a
+ *     subset of the full run's records, so a corrupted pointer has
+ *     fewer rows to collide with — detections can only stay equal or
+ *     improve; a regression means an elided check was load-bearing.
+ *     Only pointer faults are replayed because only for them is that
+ *     monotonicity sound: corrupting the table itself (say, zeroing a
+ *     line that holds only an elided chunk's record) raises a full-run
+ *     detection with no elided counterpart — a removed record, not a
+ *     lost protection.
  */
 
 #ifndef AOS_STATICCHECK_OBLIGATION_CHECKER_HH
@@ -42,36 +47,41 @@
 #include <vector>
 
 #include "analysis/dataflow/elision_plan.hh"
-#include "faultinject/fault.hh"
 #include "ir/micro_op.hh"
 #include "pa/pointer_layout.hh"
 #include "staticcheck/stream_executor.hh"
 
 namespace aos::staticcheck {
 
+/** The fault classes phase 3 injects, in schedule order. */
+enum class PointerFault : u8
+{
+    kPacFlip, //!< Flip a PAC/AHC metadata bit of a signed pointer.
+    kVaFlip,  //!< Flip a VA bit of a signed pointer.
+};
+
+inline constexpr unsigned kNumPointerFaults = 2;
+
+/** Stable report name ("ptr_pac_flip", "ptr_va_flip"). */
+const char *pointerFaultName(PointerFault fault);
+
+/** Per-class counts of one pointer-fault replay. */
+struct PointerFaultStats
+{
+    u64 injected[kNumPointerFaults] = {};
+    u64 detected[kNumPointerFaults] = {};
+
+    u64 totalInjected() const { return injected[0] + injected[1]; }
+    u64 totalDetected() const { return detected[0] + detected[1]; }
+};
+
 /** Checker configuration. */
 struct ObligationCheckOptions
 {
     pa::PointerLayout layout = pa::PointerLayout();
 
-    /** Run phase 3 (fault replay) in addition to phases 1-2. */
+    /** Run phase 3 (pointer-fault replay) in addition to phases 1-2. */
     bool checkFaults = true;
-
-    /**
-     * Fault classes injected in phase 3. Defaults to the pointer-fault
-     * classes, the ones for which the monotonicity gate is sound: both
-     * runs corrupt the same shared victims, and the elided HBT holds a
-     * subset of the full run's records, so a corrupted pointer has
-     * fewer rows to collide with — detections can only stay equal or
-     * improve. Table-domain faults (e.g. kHbtLineZap) are deliberately
-     * excluded: zapping a line that holds only an elided chunk's
-     * record raises a detection in the full run with no elided
-     * counterpart — a removed record, not a lost protection.
-     */
-    u32 faultTypes = faultinject::kPointerFaults;
-
-    unsigned faultsPerType = 4;
-    u64 faultSeed = 0xa05b0071u;
 };
 
 /** Everything the checker concluded, plus the evidence. */
@@ -88,19 +98,14 @@ struct ObligationReport
     u64 obligationsChecked = 0;
     u64 obligationsViolated = 0;
 
-    // Phase 3: fault replay.
+    // Phase 3: pointer-fault replay.
     bool faultsChecked = false;
     bool faultParity = false;
-    u64 faultsInjectedFull = 0;
-    u64 faultsInjectedElided = 0;
-    u64 faultsDetectedFull = 0;
-    u64 faultsDetectedElided = 0;
     u64 victimsInElidedRegions = 0; //!< Must stay 0.
-    u64 simulatorFaults = 0;        //!< Must stay 0.
 
-    /** Per-fault-type breakdown of each run, for parity tables. */
-    faultinject::FaultStats fullFaultStats;
-    faultinject::FaultStats elidedFaultStats;
+    /** Per-class breakdown of each run, for parity tables. */
+    PointerFaultStats fullFaultStats;
+    PointerFaultStats elidedFaultStats;
 
     /** Human-readable reasons for every failed gate. */
     std::vector<std::string> failures;

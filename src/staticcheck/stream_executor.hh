@@ -72,10 +72,6 @@ class StreamExecutor
     const ExecStats &stats() const { return _stats; }
     const bounds::HashedBoundsTable &hbt() const { return _hbt; }
 
-    /** Mutable table access for fault-injection replays
-     *  (ObligationChecker corrupts records in place). */
-    bounds::HashedBoundsTable &mutableHbt() { return _hbt; }
-
   private:
     pa::PointerLayout _layout;
     bounds::HashedBoundsTable _hbt;

@@ -594,7 +594,57 @@ TEST_F(BoundsElisionPipeline, ObligationCheckerAcceptsASoundPlan)
     EXPECT_TRUE(report.faultsChecked);
     EXPECT_TRUE(report.faultParity) << report.summary();
     EXPECT_EQ(report.victimsInElidedRegions, 0u);
-    EXPECT_EQ(report.simulatorFaults, 0u);
+}
+
+TEST_F(BoundsElisionPipeline, PointerFaultReplayIsPinned)
+{
+    // Per-class pointer-fault counts of phase 3 on the fixture's sound
+    // plan. The values are the ones the standalone fault-injection
+    // engine gave on this stream pair before the replay moved into the
+    // checker; any change to the schedule (seed, draw order, stable
+    // sort), the FIFO victim choice, the eligibility rule or the PA+AOS
+    // verdicts shows up here.
+    const ElisionPlan plan = planFor(sourceProgram());
+    const auto full = lower(sourceProgram());
+    const auto elided = elide(full, plan);
+
+    staticcheck::ObligationCheckOptions options;
+    options.layout = kLayout;
+    staticcheck::ObligationChecker checker(options);
+    const auto report = checker.check(full, elided, plan);
+    ASSERT_TRUE(report.faultsChecked);
+
+    using staticcheck::PointerFault;
+    constexpr auto kPac = static_cast<unsigned>(PointerFault::kPacFlip);
+    constexpr auto kVa = static_cast<unsigned>(PointerFault::kVaFlip);
+    for (const auto *stats : {&report.fullFaultStats,
+                              &report.elidedFaultStats}) {
+        EXPECT_EQ(stats->injected[kPac], 2u);
+        EXPECT_EQ(stats->detected[kPac], 1u);
+        EXPECT_EQ(stats->injected[kVa], 1u);
+        EXPECT_EQ(stats->detected[kVa], 1u);
+    }
+}
+
+TEST_F(BoundsElisionPipeline, FaultReplayRejectsAnUnstrippedElidedRegion)
+{
+    // Phase 3 alone: pass the full stream as its own "elided" stream.
+    // The plan is sound and the streams are identical, so phases 1-2
+    // pass, but chunk A's accesses are still signed where the plan
+    // says they are elided, and pointer faults land on them.
+    const ElisionPlan plan = planFor(sourceProgram());
+    ASSERT_FALSE(plan.obligations().empty());
+    const auto full = lower(sourceProgram());
+
+    staticcheck::ObligationCheckOptions options;
+    options.layout = kLayout;
+    staticcheck::ObligationChecker checker(options);
+    const auto report = checker.check(full, full, plan);
+    EXPECT_TRUE(report.benignParity);
+    EXPECT_EQ(report.obligationsViolated, 0u);
+    EXPECT_GT(report.victimsInElidedRegions, 0u);
+    EXPECT_FALSE(report.faultParity);
+    EXPECT_FALSE(report.ok) << report.summary();
 }
 
 TEST_F(BoundsElisionPipeline, ObligationCheckerRejectsAnUnsoundPlan)

@@ -286,7 +286,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ElisionParityFuzz,
  * The abstract interpreter must reject every attacked chunk, and the
  * ObligationChecker must accept the resulting plan: identical benign
  * detections, no obligation violated, and no lost detection under the
- * aligned fault-injection matrix.
+ * aligned pointer-fault replay.
  */
 class BoundsElisionParityFuzz : public ::testing::TestWithParam<u64>
 {

@@ -454,45 +454,7 @@ TEST_F(McuTest, EnqueueRejectsNonMemoryOps)
     EXPECT_DEATH(mcu.enqueue(ir::OpKind::kIntAlu, 0, 0, seq, now), "");
 }
 
-// ---- fault-injection hooks (DESIGN.md §8) -------------------------------
-
-/** Scriptable McuFaultHooks stub for deterministic hook tests. */
-struct ScriptedHooks : faultinject::McuFaultHooks
-{
-    unsigned stallLeft = 0;  //!< Cycles the MCQ reports full.
-    unsigned drops = 0;      //!< Way responses to lose.
-    unsigned dups = 0;       //!< Way responses to duplicate.
-    u64 ticks = 0;
-
-    void
-    onMcuTick(Tick now) override
-    {
-        (void)now;
-        ++ticks;
-        if (stallLeft)
-            --stallLeft;
-    }
-
-    bool stallQueue() override { return stallLeft > 0; }
-
-    bool
-    dropWayResponse(u64, unsigned) override
-    {
-        if (!drops)
-            return false;
-        --drops;
-        return true;
-    }
-
-    bool
-    duplicateWayResponse(u64, unsigned) override
-    {
-        if (!dups)
-            return false;
-        --dups;
-        return true;
-    }
-};
+// ---- MCQ saturation ----------------------------------------------------
 
 TEST_F(McuTest, SustainedOverflowStallsWithoutDroppingChecks)
 {
@@ -530,62 +492,6 @@ TEST_F(McuTest, SustainedOverflowStallsWithoutDroppingChecks)
     EXPECT_EQ(mcu.stats().enqueued, total);
     EXPECT_EQ(mcu.stats().checkedOps, total);
     EXPECT_EQ(mcu.stats().boundsFailures, 0u);
-}
-
-TEST_F(McuTest, StallHookForcesFullWindowThenRecovers)
-{
-    // The kMcqStall fault holds full() asserted for a window; issue
-    // must stall (enqueue refused), never drop, and resume after.
-    ScriptedHooks hooks;
-    hooks.stallLeft = 10;
-    mcu.faultHooks = &hooks;
-    hbt.insert(7, bounds::compress(0x20001000, 64));
-
-    EXPECT_TRUE(mcu.full()); // Empty queue, yet stalled.
-    EXPECT_FALSE(mcu.enqueue(ir::OpKind::kLoad, signedPtr(0x20001020, 7),
-                             8, seq, now));
-    unsigned waited = 0;
-    while (mcu.full()) {
-        ASSERT_LT(waited++, 100u) << "stall window never released";
-        mcu.tick(now++);
-    }
-    EXPECT_EQ(waited, 10u);
-    ASSERT_TRUE(mcu.enqueue(ir::OpKind::kLoad, signedPtr(0x20001020, 7),
-                            8, seq, now));
-    settle(seq);
-    EXPECT_TRUE(mcu.readyToRetire(seq));
-    EXPECT_FALSE(mcu.faulted(seq));
-}
-
-TEST_F(McuTest, DroppedWayResponseIsReissued)
-{
-    ScriptedHooks hooks;
-    hooks.drops = 1;
-    mcu.faultHooks = &hooks;
-    hbt.insert(7, bounds::compress(0x20001000, 64));
-    ASSERT_TRUE(mcu.enqueue(ir::OpKind::kLoad, signedPtr(0x20001020, 7),
-                            8, seq, now));
-    settle(seq);
-    EXPECT_TRUE(mcu.readyToRetire(seq));
-    EXPECT_FALSE(mcu.faulted(seq));
-    EXPECT_EQ(mcu.stats().droppedResponses, 1u);
-    // The lost response forced a second way-line load.
-    EXPECT_GE(mcu.stats().boundsLineLoads, 2u);
-}
-
-TEST_F(McuTest, DuplicatedWayResponseIsDiscarded)
-{
-    ScriptedHooks hooks;
-    hooks.dups = 1;
-    mcu.faultHooks = &hooks;
-    hbt.insert(7, bounds::compress(0x20001000, 64));
-    ASSERT_TRUE(mcu.enqueue(ir::OpKind::kLoad, signedPtr(0x20001020, 7),
-                            8, seq, now));
-    settle(seq);
-    EXPECT_TRUE(mcu.readyToRetire(seq));
-    EXPECT_FALSE(mcu.faulted(seq));
-    EXPECT_EQ(mcu.stats().duplicatedResponses, 1u);
-    EXPECT_EQ(mcu.stats().checkedOps, 1u); // Counted once, not twice.
 }
 
 // ---- forwarding correctness & MCQ bookkeeping regressions ---------------
