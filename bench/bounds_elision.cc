@@ -179,8 +179,8 @@ main()
     // Functional, not timed; capped so the serial replay stays a smoke
     // even when the campaign above runs with a large AOS_SIM_OPS.
     const u64 replay_ops = std::min<u64>(ops, 40'000);
-    std::printf("Obligation replay (%llu ops/profile, aligned fault "
-                "injection):\n",
+    std::printf("Obligation replay (%llu ops/profile, pointer-fault "
+                "replay):\n",
                 static_cast<unsigned long long>(replay_ops));
     std::printf("  %-12s %6s %5s %9s %9s %9s %9s\n", "workload", "oblig",
                 "viol", "inj-full", "inj-el", "det-full", "det-el");

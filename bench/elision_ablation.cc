@@ -304,8 +304,8 @@ main()
         const auto report = checker.check(full, belided, plan);
         fault_ok = report.ok;
 
-        std::printf("\nFault-matrix parity under bounds elision "
-                    "(%zu/%llu chunks elided, aligned injection):\n",
+        std::printf("\nPointer-fault replay parity under bounds "
+                    "elision (%zu/%llu chunks elided):\n",
                     plan.obligations().size(),
                     static_cast<unsigned long long>(
                         plan.stats().chunksSeen));

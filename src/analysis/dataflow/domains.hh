@@ -173,9 +173,12 @@ class OffsetRange
     u64 hi() const { return _hi; } //!< Inclusive upper offset.
     bool widened() const { return _widened; }
 
-    /** Transfer: observe an access of @p bytes at offset @p offset. */
+    /**
+     * Transfer: observe an access of @p bytes at offset @p offset.
+     * @p limit is the chunk extent that automatic widening jumps to.
+     */
     void
-    observe(u64 offset, u64 bytes)
+    observe(u64 offset, u64 bytes, u64 limit)
     {
         const u64 last = offset + (bytes ? bytes - 1 : 0);
         if (_empty) {
@@ -189,12 +192,15 @@ class OffsetRange
         _lo = std::min(_lo, offset);
         _hi = std::max(_hi, last);
         if (++_growths >= kWidenThreshold)
-            widen(_widenLimit);
+            widen(limit);
     }
 
-    /** Join = convex hull (counts as one growth if it extends). */
+    /**
+     * Join = convex hull (counts as one growth if it extends). @p limit
+     * is the chunk extent that automatic widening jumps to.
+     */
     OffsetRange
-    join(const OffsetRange &other) const
+    join(const OffsetRange &other, u64 limit) const
     {
         if (_empty)
             return other;
@@ -205,7 +211,7 @@ class OffsetRange
             out._lo = std::min(out._lo, other._lo);
             out._hi = std::max(out._hi, other._hi);
             if (++out._growths >= kWidenThreshold)
-                out.widen(out._widenLimit);
+                out.widen(limit);
         }
         out._widened = out._widened || other._widened;
         return out;
@@ -225,9 +231,6 @@ class OffsetRange
         _hi = limit ? limit - 1 : 0;
     }
 
-    /** Set the limit automatic widening jumps to (the chunk extent). */
-    void setWidenLimit(u64 limit) { _widenLimit = limit; }
-
     bool
     contains(u64 offset) const
     {
@@ -242,12 +245,11 @@ class OffsetRange
     }
 
   private:
-    bool _empty = true;
-    bool _widened = false;
     u64 _lo = 0;
     u64 _hi = 0;
-    u64 _widenLimit = 0;
-    unsigned _growths = 0;
+    u32 _growths = 0;
+    bool _empty = true;
+    bool _widened = false;
 };
 
 } // namespace aos::analysis::dataflow

@@ -21,7 +21,7 @@ planBoundsElision(const DataflowEngine &engine)
     std::vector<u32> slot_of(sums.size());
     u32 next_slot = 0;
     for (size_t i = sums.size(); i-- > 0;) {
-        const ChunkId &id = sums[i].id;
+        const ChunkId id = sums[i].id();
         ElisionPlan::Timeline &t = plan._timelines[id.base];
         if (t.gens == 0) {
             t.first = next_slot;
@@ -62,7 +62,7 @@ planBoundsElision(const DataflowEngine &engine)
         }
 
         ProofObligation ob;
-        ob.chunk = sum.id;
+        ob.chunk = sum.id();
         ob.size = sum.size;
         ob.assumptions = kNonEscaping | kInBounds | kTemporalSafe;
         ob.firstOp = sum.mallocOp;

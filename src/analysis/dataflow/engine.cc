@@ -51,11 +51,11 @@ DataflowEngine::onMalloc(const ir::MicroOp &op)
     }
 
     ChunkSummary sum;
-    sum.id = ChunkId{base, ++st.gen};
+    sum.base = base;
+    sum.gen = ++st.gen;
     sum.size = op.size;
     sum.mallocOp = _opIndex;
     sum.lastOp = _opIndex;
-    sum.range.setWidenLimit(sum.size);
 
     const size_t idx = _summaries.size();
     _summaries.push_back(sum);
@@ -130,13 +130,13 @@ DataflowEngine::onAccess(const ir::MicroOp &op)
     // would check against (the latter is what determines whether an
     // elided bndstr/check pair could ever have fired).
     const u64 bytes = op.size ? op.size : 1;
-    bool inb = raw >= sum->id.base;
+    bool inb = raw >= sum->base;
     if (inb) {
-        const u64 off = raw - sum->id.base;
-        sum->range.observe(off, bytes);
+        const u64 off = raw - sum->base;
+        sum->range.observe(off, bytes, sum->size);
         inb = off + bytes <= sum->size &&
-              bounds::inBounds(
-                  bounds::compress(sum->id.base, sum->size), raw);
+              bounds::inBounds(bounds::compress(sum->base, sum->size),
+                               raw);
     }
     if (!inb)
         sum->allInBounds = false;
@@ -206,7 +206,7 @@ DataflowEngine::provenanceOf(Addr addr) const
     const size_t idx = coveringIndex(_layout.strip(addr));
     if (idx >= _summaries.size())
         return ProvenanceValue::unknown();
-    return ProvenanceValue::chunk(_summaries[idx].id);
+    return ProvenanceValue::chunk(_summaries[idx].id());
 }
 
 } // namespace aos::analysis::dataflow

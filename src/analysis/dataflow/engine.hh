@@ -43,23 +43,35 @@
 
 namespace aos::analysis::dataflow {
 
-/** Everything the engine learned about one chunk instance. */
+/**
+ * Everything the engine learned about one chunk instance. omnetpp's
+ * warm-up opens ~700k of these, so the layout carries no copies: the
+ * instance's id is stored as its two fields (a ChunkId member would
+ * pad to 16 bytes), the size keeps MicroOp::size's 32 bits, and the
+ * range widens to the size passed in rather than a stored limit.
+ */
 struct ChunkSummary
 {
-    ChunkId id;
-    u64 size = 0;         //!< Requested allocation size in bytes.
+    Addr base = 0;        //!< Chunk base address.
+    u32 gen = 0;          //!< 1-based malloc ordinal for this base.
+    u32 size = 0;         //!< Requested allocation size in bytes.
     u64 mallocOp = 0;     //!< Op index of the allocation marker.
     u64 freeOp = 0;       //!< Op index of the free marker (if freed).
     u64 lastOp = 0;       //!< Last op index attributed to this instance.
     u64 accesses = 0;     //!< Loads/stores attributed while live.
     u64 pointerLoads = 0; //!< Subset of accesses with loadsPointer.
     u64 autms = 0;        //!< autm ops attributed (lowered streams).
-    u32 freeCount = 0;    //!< >1 means double free.
     u64 accessesAfterFree = 0; //!< Temporal violations (UAF).
+    u32 freeCount = 0;    //!< >1 means double free.
     bool allInBounds = true;   //!< Every access spatially proven.
     EscapeState escape;
     OffsetRange range;
+
+    ChunkId id() const { return ChunkId{base, gen}; }
 };
+
+static_assert(sizeof(ChunkSummary) == 104,
+              "ChunkSummary grew; omnetpp holds ~700k of them");
 
 /** Forward dataflow over a micro-op stream. */
 class DataflowEngine

@@ -2,13 +2,25 @@
  * @file
  * Open-addressed u64-keyed hash map for hot simulator paths.
  *
- * The instrumentation passes, the heap allocator and the MCU all keep
- * address/sequence-keyed side tables that are hit once or more per
- * micro-op. std::unordered_map spends most of its time in node
- * allocation, pointer chasing and rehash storms there (it was ~40% of
- * a throughput-bench profile); this map stores slots inline in one
- * power-of-two array with linear probing and backward-shift deletion,
- * so lookups are a multiply, a shift and a short scan.
+ * The instrumentation passes, the heap allocator and the dataflow
+ * pre-pass all keep address-keyed side tables that are hit once or
+ * more per micro-op. std::unordered_map spends most of its time in
+ * node allocation, pointer chasing and rehash storms there (it was
+ * ~40% of a throughput-bench profile); this map stores slots inline in
+ * one power-of-two array with linear probing and backward-shift
+ * deletion.
+ *
+ * Most keys are 16-byte-aligned chunk bases, and the allocator carves
+ * them back to back, so a key's neighbours are inserted and looked up
+ * together. idealIndex() therefore keeps one 4 KiB page's keys in one
+ * short run of slots: a Fibonacci hash of the page picks where the
+ * run starts, and the key's offset in the page picks the slot within
+ * it. Consecutive bases then land within a few kilobytes of the table,
+ * which the caches and the TLB still hold, instead of each costing a
+ * miss on a random line of a multi-megabyte array. The key's low
+ * nibble (always 0 for chunk bases) spreads otherwise dense keys, such
+ * as consecutive integers, across sixteen strides of the table, so
+ * they do not pile onto one slot.
  *
  * Semantics match the std::unordered_map subset the simulator uses:
  * find/operator[]/erase/count/clear/size. No iteration is provided on
@@ -19,6 +31,7 @@
 #ifndef AOS_COMMON_FLAT_MAP_HH
 #define AOS_COMMON_FLAT_MAP_HH
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
@@ -49,7 +62,7 @@ class FlatU64Map
         }
         if ((_size + 1) * 4 > _slots.size() * 3)
             rehash(_slots.size() * 2);
-        size_t i = idealIndex(key);
+        size_t i = idealIndex(key, _mask + 1);
         while (_slots[i].key != 0 && _slots[i].key != key)
             i = (i + 1) & _mask;
         if (_slots[i].key == 0) {
@@ -66,7 +79,7 @@ class FlatU64Map
     {
         if (key == 0)
             return _hasZero ? &_zeroVal : nullptr;
-        size_t i = idealIndex(key);
+        size_t i = idealIndex(key, _mask + 1);
         while (_slots[i].key != 0) {
             if (_slots[i].key == key)
                 return &_slots[i].val;
@@ -94,7 +107,7 @@ class FlatU64Map
             --_size;
             return 1;
         }
-        size_t i = idealIndex(key);
+        size_t i = idealIndex(key, _mask + 1);
         while (_slots[i].key != key) {
             if (_slots[i].key == 0)
                 return 0;
@@ -110,7 +123,7 @@ class FlatU64Map
                 j = (j + 1) & _mask;
                 if (_slots[j].key == 0)
                     return 1;
-                const size_t k = idealIndex(_slots[j].key);
+                const size_t k = idealIndex(_slots[j].key, _mask + 1);
                 if (!cyclicBetween(i, j, k))
                     break;
             }
@@ -141,6 +154,24 @@ class FlatU64Map
     size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
 
+    /**
+     * The slot where @p key's probe starts in a table of @p cap slots
+     * (a power of two, at least 16). A key's page selects a run of 256
+     * slots by Fibonacci hashing; bits 4..11 (the 16-byte granule in
+     * the page) pick the slot in the run, and bits 0..3 shift it by
+     * multiples of cap / 16.
+     */
+    static size_t
+    idealIndex(u64 key, size_t cap)
+    {
+        const size_t run = static_cast<size_t>(
+            ((key >> 12) * 0x9e3779b97f4a7c15ull) >> 32);
+        const size_t granule = (key >> 4) & 0xff;
+        const size_t nibble = static_cast<size_t>(key & 0xf)
+                              << (std::countr_zero(cap) - 4);
+        return (run + granule + nibble) & (cap - 1);
+    }
+
   private:
     struct Slot
     {
@@ -156,15 +187,6 @@ class FlatU64Map
         while (cap * 3 < n * 4)
             cap *= 2;
         return cap;
-    }
-
-    size_t
-    idealIndex(u64 key) const
-    {
-        // Fibonacci hashing; the multiply spreads low-entropy keys
-        // (aligned addresses, dense sequence numbers) across the table.
-        return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) &
-               _mask;
     }
 
     /** True when @p k lies cyclically in (i, j]. */
@@ -183,7 +205,7 @@ class FlatU64Map
         for (const Slot &s : old) {
             if (s.key == 0)
                 continue;
-            size_t i = idealIndex(s.key);
+            size_t i = idealIndex(s.key, new_cap);
             while (_slots[i].key != 0)
                 i = (i + 1) & _mask;
             _slots[i] = s;

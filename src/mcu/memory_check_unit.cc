@@ -31,7 +31,6 @@ MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
     _slots.resize(cap);
     _wake.assign(cap, kNever);
     _slotMask = cap - 1;
-    _bySeq.reserve(config.mcqEntries);
 }
 
 bool
@@ -40,6 +39,9 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
 {
     if (full())
         return false;
+    panic_if(_count > 0 && seq <= _slots[slotOf(_count - 1)].seq,
+             "MCQ seq %llu is not younger than the tail's",
+             static_cast<unsigned long long>(seq));
 
     const u32 slot = slotOf(_count);
     McqEntry &entry = _slots[slot];
@@ -74,7 +76,6 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
 
     ++_stats.enqueued;
     _wake[slot] = now;
-    _bySeq[seq] = slot;
     ++_count;
     return true;
 }
@@ -82,8 +83,21 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
 McqEntry *
 MemoryCheckUnit::find(u64 seq)
 {
-    const u32 *slot = _bySeq.find(seq);
-    return slot ? &_slots[*slot] : nullptr;
+    // Lower bound of seq over the ring, oldest entry first.
+    u32 lo = 0;
+    for (u32 n = _count; n > 0;) {
+        const u32 half = n / 2;
+        if (_slots[slotOf(lo + half)].seq < seq) {
+            lo += half + 1;
+            n -= half + 1;
+        } else {
+            n = half;
+        }
+    }
+    if (lo == _count)
+        return nullptr;
+    McqEntry &entry = _slots[slotOf(lo)];
+    return entry.seq == seq ? &entry : nullptr;
 }
 
 const McqEntry *
@@ -95,13 +109,13 @@ MemoryCheckUnit::find(u64 seq) const
 void
 MemoryCheckUnit::markCommitted(u64 seq)
 {
-    const u32 *slot = _bySeq.find(seq);
-    if (!slot)
+    McqEntry *entry = find(seq);
+    if (!entry)
         return;
-    _slots[*slot].committed = true;
+    entry->committed = true;
     // Commit-gated work (kBndStr mutation) sleeps with wake = kNever;
     // re-arm the slot.
-    _wake[*slot] = 0;
+    _wake[static_cast<size_t>(entry - _slots.data())] = 0;
 }
 
 bool
@@ -490,7 +504,6 @@ MemoryCheckUnit::drainRetired()
         _stats.waysTouchedTotal += head.waysTouched;
         head.valid = false;
         _wake[_headSlot] = kNever;
-        _bySeq.erase(head.seq);
         _headSlot = (_headSlot + 1) & _slotMask;
         --_count;
     }

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bounds/bounds_way_buffer.hh"
-#include "common/flat_map.hh"
 #include "bounds/hashed_bounds_table.hh"
 #include "ir/micro_op.hh"
 #include "memsim/memory_system.hh"
@@ -260,12 +259,11 @@ class MemoryCheckUnit
     // slots are pool-allocated once at construction — no steady-state
     // allocation — with the per-slot wake tick split out into its own
     // plane (_wake) so the every-cycle scan touches one compact array
-    // instead of walking whole entries, and an O(1) seq->slot map
-    // replacing the linear find() scans the retire stage polls every
-    // cycle.
+    // instead of walking whole entries. Entries sit in the ring in
+    // strictly increasing seq order and leave only from the head, so
+    // find() binary-searches the occupied slots.
     std::vector<McqEntry> _slots;
     std::vector<Tick> _wake;
-    FlatU64Map<u32> _bySeq;
     u32 _headSlot = 0;
     u32 _count = 0;
     u32 _slotMask = 0;

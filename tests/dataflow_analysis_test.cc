@@ -142,14 +142,14 @@ TEST(OffsetRange, ObserveAndContains)
     OffsetRange range;
     EXPECT_TRUE(range.empty());
     EXPECT_TRUE(range.withinSize(0));
-    range.observe(16, 8);
+    range.observe(16, 8, 64);
     EXPECT_EQ(range.lo(), 16u);
     EXPECT_EQ(range.hi(), 23u);
     EXPECT_TRUE(range.contains(20));
     EXPECT_FALSE(range.contains(24));
     EXPECT_TRUE(range.withinSize(24));
     EXPECT_FALSE(range.withinSize(23));
-    range.observe(0, 8); // extends the hull downwards
+    range.observe(0, 8, 64); // extends the hull downwards
     EXPECT_EQ(range.lo(), 0u);
     EXPECT_FALSE(range.widened());
 }
@@ -157,29 +157,28 @@ TEST(OffsetRange, ObserveAndContains)
 TEST(OffsetRange, JoinTakesTheConvexHull)
 {
     OffsetRange a;
-    a.observe(0, 8);
+    a.observe(0, 8, 64);
     OffsetRange b;
-    b.observe(32, 8);
-    const OffsetRange hull = a.join(b);
+    b.observe(32, 8, 64);
+    const OffsetRange hull = a.join(b, 64);
     EXPECT_EQ(hull.lo(), 0u);
     EXPECT_EQ(hull.hi(), 39u);
-    EXPECT_TRUE(a.join(OffsetRange()).contains(0)); // empty is identity
+    EXPECT_TRUE(a.join(OffsetRange(), 64).contains(0)); // empty is identity
 }
 
 TEST(OffsetRange, RepeatedGrowthWidensToTheLimit)
 {
     OffsetRange range;
-    range.setWidenLimit(1024);
     for (unsigned i = 0; i <= OffsetRange::kWidenThreshold + 1; ++i)
-        range.observe(8 * i, 8); // every observe extends the hull
+        range.observe(8 * i, 8, 1024); // every observe extends the hull
     EXPECT_TRUE(range.widened());
     EXPECT_EQ(range.lo(), 0u);
     EXPECT_EQ(range.hi(), 1023u);
     // In-range re-observations are not lattice steps.
     OffsetRange stable;
-    stable.observe(0, 64);
+    stable.observe(0, 64, 64);
     for (unsigned i = 0; i < 4 * OffsetRange::kWidenThreshold; ++i)
-        stable.observe(8, 8);
+        stable.observe(8, 8, 64);
     EXPECT_FALSE(stable.widened());
 }
 
@@ -197,8 +196,8 @@ TEST(DataflowEngine, SummarizesABenignLifecycle)
 
     ASSERT_EQ(engine.summaries().size(), 1u);
     const ChunkSummary &sum = engine.summaries()[0];
-    EXPECT_EQ(sum.id.base, kChunkA);
-    EXPECT_EQ(sum.id.gen, 1u);
+    EXPECT_EQ(sum.base, kChunkA);
+    EXPECT_EQ(sum.gen, 1u);
     EXPECT_EQ(sum.size, 64u);
     EXPECT_EQ(sum.accesses, 2u);
     EXPECT_EQ(sum.freeCount, 1u);
@@ -262,8 +261,8 @@ TEST(DataflowEngine, BaseReuseOpensANewGeneration)
         op(OpKind::kLoad, kChunkA + 8, kChunkA, 8)});
     engine.run(source);
     ASSERT_EQ(engine.summaries().size(), 2u);
-    EXPECT_EQ(engine.summaries()[0].id.gen, 1u);
-    EXPECT_EQ(engine.summaries()[1].id.gen, 2u);
+    EXPECT_EQ(engine.summaries()[0].gen, 1u);
+    EXPECT_EQ(engine.summaries()[1].gen, 2u);
     EXPECT_EQ(engine.summaries()[1].size, 128u);
     EXPECT_EQ(engine.summaries()[1].accesses, 1u);
     EXPECT_EQ(engine.summaries()[0].accesses, 0u);
@@ -454,18 +453,18 @@ TEST(ElisionPlanning, IndexIsExactAcrossGenerationsAndHighBases)
     }
     u64 elided = 0;
     for (const ChunkSummary &sum : engine.summaries()) {
-        const ProofObligation *found = plan.find(sum.id.base, sum.id.gen);
-        if (expectElided(sum.id.gen)) {
+        const ProofObligation *found = plan.find(sum.base, sum.gen);
+        if (expectElided(sum.gen)) {
             ++elided;
             ASSERT_NE(found, nullptr)
-                << std::hex << sum.id.base << std::dec << " gen "
-                << sum.id.gen;
-            EXPECT_EQ(found->chunk, sum.id);
+                << std::hex << sum.base << std::dec << " gen "
+                << sum.gen;
+            EXPECT_EQ(found->chunk, sum.id());
         } else {
             EXPECT_EQ(found, nullptr)
-                << std::hex << sum.id.base << std::dec << " gen "
-                << sum.id.gen;
-            EXPECT_FALSE(plan.elided(sum.id.base, sum.id.gen));
+                << std::hex << sum.base << std::dec << " gen "
+                << sum.gen;
+            EXPECT_FALSE(plan.elided(sum.base, sum.gen));
         }
     }
     EXPECT_EQ(plan.obligations().size(), elided);

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for FlatU64Map (common/flat_map.hh): a randomized differential
- * against std::unordered_map, plus the corners of open addressing that
+ * against std::unordered_map, the corners of open addressing that
  * random keys rarely reach — key 0's side slot, probe chains of keys
  * that share an ideal index, and backward-shift deletion across the
- * end of the table.
+ * end of the table — and the probe lengths the slot function gives
+ * the key shapes the simulator uses.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <vector>
 
@@ -19,16 +21,11 @@
 namespace aos {
 namespace {
 
-/**
- * The ideal slot of @p key in a table of @p cap slots. Mirrors
- * FlatU64Map's Fibonacci hash, so a test can build probe chains at
- * chosen places in the table.
- */
+/** The ideal slot of @p key in a table of @p cap slots. */
 size_t
 idealIndex(u64 key, size_t cap)
 {
-    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) &
-           (cap - 1);
+    return FlatU64Map<u64>::idealIndex(key, cap);
 }
 
 /** Entries a 16-slot table takes before it grows (3/4 load). */
@@ -159,15 +156,84 @@ TEST(FlatU64Map, ReserveAndClearKeepTheContents)
     expectSameEntries(map, ref, keys);
 }
 
+/**
+ * Slots a successful lookup examines, at most, over @p keys inserted in
+ * order into a table of the size FlatU64Map grows to for them (the
+ * smallest power of two they fill to at most 3/4).
+ */
+size_t
+longestProbe(const std::vector<u64> &keys)
+{
+    size_t cap = kSmallCap;
+    while (cap * 3 < keys.size() * 4)
+        cap *= 2;
+    std::vector<bool> used(cap);
+    size_t longest = 0;
+    for (u64 k : keys) {
+        size_t i = idealIndex(k, cap);
+        size_t probes = 1;
+        for (; used[i]; ++probes)
+            i = (i + 1) & (cap - 1);
+        used[i] = true;
+        longest = std::max(longest, probes);
+    }
+    return longest;
+}
+
+TEST(FlatU64Map, KeyShapesKeepProbesShort)
+{
+    // The slot function keeps a page's keys in one run of 256 slots;
+    // these are the shapes that could crowd a run. No lookup may scan
+    // further than one run. Uniform random keys reach 118 slots here
+    // at 2/3 load, carved chunk bases 46; dense integers without the
+    // low-nibble term would reach 3841.
+    constexpr size_t kMaxProbe = 256;
+    Rng rng(0x5107);
+
+    // omnetpp's live set: 700k chunks of log-uniform 32-512 B requests,
+    // carved back to back; the key is the user address.
+    std::vector<u64> carved;
+    u64 top = 0x20000000;
+    while (carved.size() < 700000) {
+        const double req = std::exp(std::log(32.0) +
+                                    std::log(16.0) * rng.uniform());
+        const u64 size = static_cast<u64>(req) & ~u64{7};
+        carved.push_back(top + 16);
+        top += std::max<u64>(32, (size + 16 + 15) & ~u64{15});
+    }
+    EXPECT_LE(longestProbe(carved), kMaxProbe) << "carved chunk bases";
+
+    // Page-aligned keys: every page's run starts at its first slot.
+    std::vector<u64> pages;
+    for (u64 i = 0; i < 700000; ++i)
+        pages.push_back(0x20000000 + (i << 12));
+    EXPECT_LE(longestProbe(pages), kMaxProbe) << "page-aligned keys";
+
+    // Dense integers: sixteen share each 16-byte granule, so only the
+    // low-nibble term keeps them off one slot.
+    std::vector<u64> dense;
+    for (u64 i = 1; i <= 200000; ++i)
+        dense.push_back(i);
+    EXPECT_LE(longestProbe(dense), kMaxProbe) << "dense integers";
+
+    std::vector<u64> random;
+    while (random.size() < 700000) {
+        if (const u64 k = rng.next())
+            random.push_back(k);
+    }
+    EXPECT_LE(longestProbe(random), kMaxProbe) << "random keys";
+}
+
 TEST(FlatU64Map, RandomizedDifferentialAgainstUnorderedMap)
 {
-    // Keys come from four families: uniform random, aligned addresses
-    // (low-entropy, like heap bases), key 0, and keys spaced 2^52
-    // apart. Fibonacci hashing takes the slot from bits 32 and up of
-    // key * phi; adding a multiple of 2^52 leaves every bit below 52
-    // unchanged, so each spaced family shares one ideal slot in every
-    // table of up to 2^20 slots and builds long probe chains as the
-    // table grows through rehash.
+    // Keys come from five families: uniform random, aligned addresses
+    // (low-entropy, like heap bases), key 0, dense integers, and fully
+    // packed pages. A page's keys share one run of slots, so a packed
+    // page (all 256 of its 16-byte granules) lays down up to 256
+    // adjacent entries: every key whose probe starts inside that run
+    // has to cross it, and erasing from it shifts long stretches back.
+    // Dense integers stack sixteen keys per granule, spread only by
+    // their low nibble.
     Rng rng(0xf1a7);
     std::vector<u64> pool;
     for (int i = 0; i < 20000; ++i)
@@ -175,10 +241,12 @@ TEST(FlatU64Map, RandomizedDifferentialAgainstUnorderedMap)
     for (u64 i = 0; i < 20000; ++i)
         pool.push_back(0x20000000 + i * 64);
     pool.push_back(0);
+    for (u64 i = 1; i <= 2048; ++i)
+        pool.push_back(i);
     for (int f = 0; f < 8; ++f) {
-        const u64 base = rng.next() >> 12;
-        for (u64 t = 0; t < 256; ++t)
-            pool.push_back(base + (t << 52));
+        const u64 page = rng.next() >> 12 << 12;
+        for (u64 g = 0; g < 256; ++g)
+            pool.push_back(page + (g << 4));
     }
 
     FlatU64Map<u64> map;
