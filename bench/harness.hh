@@ -1,6 +1,9 @@
 /**
  * @file
- * Shared helpers for the per-figure/table harness binaries.
+ * Shared helpers for the table/figure harness binaries. The paper's
+ * evaluation grid (Figs. 14–18 and the §IX-A.1 resize counts) is one
+ * binary, bench/paper; the other tables and ablations keep one binary
+ * each. Every timing sweep runs as a campaign::Campaign.
  *
  * Every harness runs standalone with sensible defaults; the simulated
  * window can be scaled with environment variables:
@@ -8,7 +11,8 @@
  *   AOS_SIM_OPS       measured micro-ops per timing run (default 1M)
  *   AOS_REPLAY_SCALE  divisor for full allocation replays (default 1)
  *
- * Campaign-based harnesses additionally honour:
+ * The campaign harnesses additionally honour (JSON only where the
+ * harness emits it):
  *
  *   AOS_CAMPAIGN_JOBS      worker threads (default: all hardware threads)
  *   AOS_CAMPAIGN_JSON      results path; "0"/"off" disables emission
@@ -47,19 +51,6 @@ inline u64
 simOps()
 {
     return envU64("AOS_SIM_OPS", 1'000'000);
-}
-
-/** Run one workload under one configuration. */
-inline core::RunResult
-runConfig(const workloads::WorkloadProfile &profile,
-          baselines::Mechanism mech, u64 ops,
-          const baselines::SystemOptions &base = {})
-{
-    baselines::SystemOptions options = base;
-    options.mech = mech;
-    options.measureOps = ops;
-    core::AosSystem system(profile, options);
-    return system.run();
 }
 
 /** Print a separator line of width @p width. */

@@ -51,20 +51,33 @@ main()
                 "HBT resizes", "ways/check");
     rule(46);
     const auto &profile = workloads::profileByName("sphinx3");
-    baselines::SystemOptions base_opts;
-    const core::RunResult baseline =
-        runConfig(profile, Mechanism::kBaseline, ops);
-    for (unsigned bits : {11u, 13u, 16u, 20u}) {
-        baselines::SystemOptions options;
-        options.pacBits = bits;
-        const core::RunResult r =
-            runConfig(profile, Mechanism::kAos, ops, options);
-        std::printf("%5u %12.3f %12llu %12.3f\n", bits,
+    const unsigned widths[] = {11u, 13u, 16u, 20u};
+    campaign::Campaign sweep(campaignOptions("pac_size_sweep"));
+    sweep.addConfig(profile, Mechanism::kBaseline, ops);
+    for (const unsigned bits : widths) {
+        campaign::Job job;
+        job.name = csprintf("sphinx3/aos/pac%u", bits);
+        job.profile = profile;
+        job.mech = Mechanism::kAos;
+        job.options.pacBits = bits;
+        job.ops = ops;
+        sweep.add(std::move(job));
+    }
+    const campaign::CampaignResult result = sweep.run();
+    exitIfInterrupted(result);
+    if (!result.allOk()) {
+        std::fprintf(stderr, "pac_size_sweep: %u job(s) failed\n",
+                     result.count(campaign::JobStatus::kFailed));
+        return 1;
+    }
+    const core::RunResult &baseline = result.jobs[0].run;
+    for (size_t i = 0; i < std::size(widths); ++i) {
+        const core::RunResult &r = result.jobs[1 + i].run;
+        std::printf("%5u %12.3f %12llu %12.3f\n", widths[i],
                     static_cast<double>(r.core.cycles) /
                         static_cast<double>(baseline.core.cycles),
                     static_cast<unsigned long long>(r.resizes),
                     r.mcuStats.avgWaysPerCheck());
-        std::fflush(stdout);
     }
     std::printf("\nnarrow PACs trade forging resistance and row "
                 "pressure (more collisions, more resizes) for a "

@@ -27,13 +27,26 @@ main()
                 "AOS time", "ASan +instr", "AOS +instr");
     rule(70);
 
+    const Mechanism mechs[] = {Mechanism::kBaseline, Mechanism::kAsan,
+                               Mechanism::kAos};
+    campaign::Campaign sweep(campaignOptions("softcheck_comparison"));
+    const auto &profiles = workloads::specProfiles();
+    for (const auto &profile : profiles)
+        for (const Mechanism mech : mechs)
+            sweep.addConfig(profile, mech, ops);
+    const campaign::CampaignResult result = sweep.run();
+    exitIfInterrupted(result);
+    if (!result.allOk()) {
+        std::fprintf(stderr, "softcheck_comparison: %u job(s) failed\n",
+                     result.count(campaign::JobStatus::kFailed));
+        return 1;
+    }
+
     GeoAccum geo_asan, geo_aos, infl_asan, infl_aos;
-    for (const auto &profile : workloads::specProfiles()) {
-        const core::RunResult base =
-            runConfig(profile, Mechanism::kBaseline, ops);
-        const core::RunResult asan =
-            runConfig(profile, Mechanism::kAsan, ops);
-        const core::RunResult aos = runConfig(profile, Mechanism::kAos, ops);
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        const core::RunResult &base = result.jobs[3 * p].run;
+        const core::RunResult &asan = result.jobs[3 * p + 1].run;
+        const core::RunResult &aos = result.jobs[3 * p + 2].run;
 
         const double t_asan = static_cast<double>(asan.core.cycles) /
                               static_cast<double>(base.core.cycles);
@@ -48,9 +61,8 @@ main()
         infl_asan.add(i_asan);
         infl_aos.add(i_aos);
         std::printf("%-12s %12.3f %12.3f %13.1f%% %13.1f%%\n",
-                    profile.name.c_str(), t_asan, t_aos,
+                    profiles[p].name.c_str(), t_asan, t_aos,
                     100.0 * (i_asan - 1.0), 100.0 * (i_aos - 1.0));
-        std::fflush(stdout);
     }
     rule(70);
     std::printf("%-12s %12.3f %12.3f %13.1f%% %13.1f%%\n", "geomean",

@@ -14,7 +14,6 @@ HeapAllocator::HeapAllocator(Addr heap_base, u64 heap_limit)
     // Sized for the workload profiles' typical live-heap population;
     // avoids rehash storms on the malloc/free hot path.
     _chunks.reserve(1u << 14);
-    _liveIndex.reserve(1u << 14);
     _forged.reserve(1u << 10);
 }
 
@@ -29,7 +28,6 @@ HeapAllocator::reset()
         bin.clear();
     _forged.clear();
     _liveList.clear();
-    _liveIndex.clear();
     _stats = AllocStats();
 }
 
@@ -89,9 +87,9 @@ HeapAllocator::setPrevSizeAt(Addr chunk_base, u64 prev_size)
 }
 
 void
-HeapAllocator::addLive(Addr user_addr, u64 user_size)
+HeapAllocator::addLive(Chunk &chunk, Addr user_addr, u64 user_size)
 {
-    _liveIndex[user_addr] = _liveList.size();
+    chunk.liveSlot = static_cast<u32>(_liveList.size());
     _liveList.push_back(user_addr);
     ++_stats.active;
     _stats.maxActive = std::max(_stats.maxActive, _stats.active);
@@ -100,16 +98,16 @@ HeapAllocator::addLive(Addr user_addr, u64 user_size)
 }
 
 void
-HeapAllocator::removeLive(Addr user_addr)
+HeapAllocator::removeLive(Chunk &chunk)
 {
-    const u64 *it = _liveIndex.find(user_addr);
-    panic_if(!it, "removeLive of non-live chunk");
-    const u64 idx = *it;
+    panic_if(chunk.liveSlot == kNotLive, "removeLive of non-live chunk");
+    const u32 idx = chunk.liveSlot;
     const Addr last = _liveList.back();
     _liveList[idx] = last;
-    _liveIndex[last] = idx;
+    if (Chunk *moved = _chunks.find(last - kHeader))
+        moved->liveSlot = idx;
     _liveList.pop_back();
-    _liveIndex.erase(user_addr);
+    chunk.liveSlot = kNotLive;
     --_stats.active;
 }
 
@@ -139,18 +137,19 @@ HeapAllocator::malloc(u64 size)
             base = bin.back();
             bin.pop_back();
             ++_stats.fastbinHits;
-            if (Chunk *chunk = _chunks.find(base)) {
+            Chunk *chunk = _chunks.find(base);
+            if (chunk) {
                 chunk->free = false;
                 chunk->inFastbin = false;
                 chunk->size = static_cast<u32>(size);
             } else {
                 // A forged chunk planted by the House-of-Spirit attack:
                 // malloc now returns attacker-controlled memory.
-                _chunks[base] = Chunk{static_cast<u32>(size),
-                                      static_cast<u32>(need), 0, false,
-                                      false};
+                chunk = &_chunks[base];
+                *chunk = Chunk{.size = static_cast<u32>(size),
+                               .chunkSize = static_cast<u32>(need)};
             }
-            addLive(base + kHeader, size);
+            addLive(*chunk, base + kHeader, size);
             return base + kHeader;
         }
     }
@@ -164,28 +163,26 @@ HeapAllocator::malloc(u64 size)
         base = fit->second;
         const u64 have = fit->first;
         _freeBySize.erase(fit);
-        if (have >= need + kMinChunk) {
-            // Split: keep the tail as a smaller free chunk. Insert it
-            // before re-finding the head: operator[] may rehash.
+        const bool split = have >= need + kMinChunk;
+        if (split) {
+            // Keep the tail as a smaller free chunk. Insert it before
+            // finding the head: operator[] may rehash.
             const Addr rest = base + need;
             const u64 rest_size = have - need;
-            _chunks[rest] = Chunk{0, static_cast<u32>(rest_size),
-                                  static_cast<u32>(need), true, false};
+            _chunks[rest] = Chunk{.chunkSize = static_cast<u32>(rest_size),
+                                  .prevSize = static_cast<u32>(need),
+                                  .free = true};
             insertFree(rest, rest_size);
             ++_stats.splits;
-            Chunk *chunk = _chunks.find(base);
-            panic_if(!chunk, "free-list chunk lost");
-            chunk->chunkSize = static_cast<u32>(need);
-            chunk->free = false;
-            chunk->size = static_cast<u32>(size);
             setPrevSizeAt(rest + rest_size, rest_size);
-        } else {
-            Chunk *chunk = _chunks.find(base);
-            panic_if(!chunk, "free-list chunk lost");
-            chunk->free = false;
-            chunk->size = static_cast<u32>(size);
         }
-        addLive(base + kHeader, size);
+        Chunk *chunk = _chunks.find(base);
+        panic_if(!chunk, "free-list chunk lost");
+        if (split)
+            chunk->chunkSize = static_cast<u32>(need);
+        chunk->free = false;
+        chunk->size = static_cast<u32>(size);
+        addLive(*chunk, base + kHeader, size);
         return base + kHeader;
     }
 
@@ -193,10 +190,12 @@ HeapAllocator::malloc(u64 size)
     base = carveTop(need);
     if (base == 0)
         return 0; // out of simulated memory
-    _chunks[base] = Chunk{static_cast<u32>(size), static_cast<u32>(need),
-                          static_cast<u32>(_topPrevSize), false, false};
+    Chunk &chunk = _chunks[base];
+    chunk = Chunk{.size = static_cast<u32>(size),
+                  .chunkSize = static_cast<u32>(need),
+                  .prevSize = static_cast<u32>(_topPrevSize)};
     _topPrevSize = need;
-    addLive(base + kHeader, size);
+    addLive(chunk, base + kHeader, size);
     return base + kHeader;
 }
 
@@ -243,7 +242,7 @@ HeapAllocator::free(Addr user_addr)
     }
 
     _stats.liveBytes -= chunk.size;
-    removeLive(user_addr);
+    removeLive(chunk);
     ++_stats.freeCalls;
 
     if (chunk.chunkSize <= kFastbinMax + kHeader) {
@@ -306,7 +305,8 @@ HeapAllocator::usableSize(Addr user_addr) const
 bool
 HeapAllocator::live(Addr user_addr) const
 {
-    return _liveIndex.count(user_addr) != 0;
+    const Chunk *chunk = _chunks.find(user_addr - kHeader);
+    return chunk && chunk->liveSlot != kNotLive;
 }
 
 bool

@@ -24,9 +24,9 @@
 #define AOS_ALLOC_HEAP_ALLOCATOR_HH
 
 #include <map>
-#include "common/flat_map.hh"
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace aos::alloc {
@@ -118,12 +118,13 @@ class HeapAllocator
     reserveLive(u64 n)
     {
         _liveList.reserve(n);
-        _liveIndex.reserve(n);
         _chunks.reserve(n);
     }
 
   private:
-    // 16 bytes: the chunk table is the largest per-chunk structure
+    static constexpr u32 kNotLive = ~u32{0};
+
+    // 20 bytes: the chunk table is the largest per-chunk structure
     // (omnetpp keeps ~700 K chunks live), so the record size directly
     // sets the malloc/free DRAM footprint. u32 sizes are sufficient
     // because the bounds-compression format (SV-D) caps object sizes
@@ -135,6 +136,7 @@ class HeapAllocator
         u32 prevSize = 0;   // boundary tag: chunkSize of the chunk
                             // ending at this base (0 = heap base or a
                             // forged chunk outside the carve sequence)
+        u32 liveSlot = kNotLive; // index in _liveList while live
         bool free = false;
         bool inFastbin = false;
     };
@@ -150,8 +152,8 @@ class HeapAllocator
     Addr carveTop(u64 chunk_size);
     void insertFree(Addr base, u64 chunk_size);
     void removeFree(Addr base);
-    void addLive(Addr user_addr, u64 user_size);
-    void removeLive(Addr user_addr);
+    void addLive(Chunk &chunk, Addr user_addr, u64 user_size);
+    void removeLive(Chunk &chunk);
     void setPrevSizeAt(Addr chunk_base, u64 prev_size);
 
     Addr _heapBase;
@@ -174,9 +176,9 @@ class HeapAllocator
     // Forged headers planted by forgeChunkHeader (user addr -> size).
     FlatU64Map<u64> _forged;
 
-    // Live user addresses with O(1) random access and removal.
+    // Live user addresses with O(1) random access and removal; each
+    // live chunk records its own slot (Chunk::liveSlot).
     std::vector<Addr> _liveList;
-    FlatU64Map<u64> _liveIndex;
 
     AllocStats _stats;
 };

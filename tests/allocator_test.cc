@@ -54,6 +54,81 @@ TEST(Allocator, FreeMakesChunkDead)
     EXPECT_EQ(heap.usableSize(p), 0u);
 }
 
+TEST(Allocator, LiveOnlyAtAllocatedChunkBases)
+{
+    // live() holds for the exact user address of an allocated chunk:
+    // never for a header, an interior or never-carved address, a free
+    // chunk (fastbin or coalesced), or the tail split off a free chunk.
+    HeapAllocator heap;
+    const Addr small = heap.malloc(48);
+    const Addr big = heap.malloc(4096);
+    const Addr guard = heap.malloc(16);
+    EXPECT_TRUE(heap.live(small));
+    EXPECT_TRUE(heap.live(big));
+    EXPECT_FALSE(heap.live(small - 16));
+    EXPECT_FALSE(heap.live(small + 16));
+    EXPECT_FALSE(heap.live(0));
+    EXPECT_FALSE(heap.live(16));
+    EXPECT_FALSE(heap.live(heap.heapTop() + 16));
+
+    EXPECT_EQ(heap.free(small), FreeResult::kOk); // to a fastbin
+    EXPECT_FALSE(heap.live(small));
+    EXPECT_EQ(heap.free(big), FreeResult::kOk); // to the free list
+    EXPECT_FALSE(heap.live(big));
+    EXPECT_EQ(heap.free(big), FreeResult::kDoubleFree);
+    EXPECT_FALSE(heap.live(big));
+
+    const Addr head = heap.malloc(1024); // split of big's chunk
+    ASSERT_EQ(head, big);
+    EXPECT_TRUE(heap.live(head));
+    EXPECT_FALSE(heap.live(head + 1040)); // the free tail's user address
+    EXPECT_TRUE(heap.live(guard));
+    EXPECT_EQ(heap.liveCount(), 2u);
+}
+
+TEST(Allocator, ForgedChunkLiveOnlyWhileHandedOut)
+{
+    HeapAllocator heap;
+    const Addr fake = 0x00601000;
+    heap.forgeChunkHeader(fake, 0x30);
+    EXPECT_FALSE(heap.live(fake));
+    EXPECT_EQ(heap.free(fake), FreeResult::kCorrupting);
+    EXPECT_FALSE(heap.live(fake));
+    EXPECT_EQ(heap.malloc(0x30), fake);
+    EXPECT_TRUE(heap.live(fake));
+    EXPECT_EQ(heap.liveCount(), 1u);
+    EXPECT_EQ(heap.free(fake), FreeResult::kOk);
+    EXPECT_FALSE(heap.live(fake));
+    EXPECT_EQ(heap.liveCount(), 0u);
+
+    const Addr rejected = 0x00602000;
+    heap.forgeChunkHeader(rejected, 1 << 20);
+    EXPECT_EQ(heap.free(rejected), FreeResult::kInvalidPtr);
+    EXPECT_FALSE(heap.live(rejected));
+}
+
+TEST(Allocator, FastbinDupHandsOutOneChunkTwice)
+{
+    // After free(a); free(b); free(a) the bin holds a twice, so two
+    // mallocs return a. The live list then carries a twice, and one
+    // free of a retires only the newest entry.
+    HeapAllocator heap;
+    const Addr a = heap.malloc(48);
+    const Addr b = heap.malloc(48);
+    heap.free(a);
+    heap.free(b);
+    ASSERT_EQ(heap.free(a), FreeResult::kCorrupting);
+    EXPECT_EQ(heap.malloc(48), a);
+    EXPECT_EQ(heap.malloc(48), b);
+    EXPECT_EQ(heap.malloc(48), a);
+    EXPECT_TRUE(heap.live(a));
+    EXPECT_EQ(heap.liveCount(), 3u);
+    EXPECT_EQ(heap.free(a), FreeResult::kOk);
+    EXPECT_FALSE(heap.live(a));
+    EXPECT_TRUE(heap.live(b));
+    EXPECT_EQ(heap.liveCount(), 2u);
+}
+
 TEST(Allocator, FastbinLifoReuse)
 {
     HeapAllocator heap;
@@ -226,11 +301,21 @@ TEST(Allocator, RandomChurnInvariants)
         } else {
             const u64 idx = rng.below(live.size());
             ASSERT_EQ(heap.free(live[idx].first), FreeResult::kOk);
+            const Addr freed = live[idx].first;
             live[idx] = live.back();
             live.pop_back();
+            ASSERT_FALSE(heap.live(freed));
         }
         ASSERT_EQ(heap.liveCount(), live.size());
     }
+    for (const auto &[base, sz] : live)
+        ASSERT_TRUE(heap.live(base));
+    std::set<Addr> listed;
+    for (u64 i = 0; i < heap.liveCount(); ++i)
+        listed.insert(heap.liveChunk(i));
+    EXPECT_EQ(listed.size(), live.size());
+    for (const auto &[base, sz] : live)
+        EXPECT_TRUE(listed.count(base));
 }
 
 } // namespace

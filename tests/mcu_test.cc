@@ -605,12 +605,12 @@ TEST(McqEntryTest, ResetForRetryClearsExactlyTheWalkProgress)
     EXPECT_EQ(e.waysTouched, 5u);
 }
 
-TEST_F(McuTest, SeqMapSurvivesRingWraparound)
+TEST_F(McuTest, SeqLookupSurvivesRingWraparound)
 {
-    // Stress the O(1) seq->slot map across many wraps of a small ring:
-    // every in-flight seq must stay findable (faulted()/readyToRetire()
-    // consistent), drained seqs must become trivially retirable, and
-    // occupancy must never exceed capacity.
+    // Stress the binary search over the ring's seqs across many wraps
+    // of a small ring: every in-flight seq must stay findable
+    // (faulted()/readyToRetire() consistent), drained seqs must become
+    // trivially retirable, and occupancy must never exceed capacity.
     McuConfig config;
     config.mcqEntries = 8;
     MemoryCheckUnit mcu2(config, layout, &hbt, &bwb, &mem);
@@ -632,7 +632,7 @@ TEST_F(McuTest, SeqMapSurvivesRingWraparound)
             ++next_seq;
         }
         ASSERT_LE(mcu2.occupancy(), 8u);
-        // Map lookups: in-flight entries resolve, drained ones do not.
+        // Lookups: in-flight entries resolve, drained ones do not.
         if (drained_below > 1) {
             EXPECT_TRUE(mcu2.readyToRetire(drained_below - 1));
             EXPECT_FALSE(mcu2.faulted(drained_below - 1));
