@@ -53,16 +53,11 @@ main()
     const auto &profile = workloads::profileByName("sphinx3");
     const unsigned widths[] = {11u, 13u, 16u, 20u};
     campaign::Campaign sweep(campaignOptions("pac_size_sweep"));
-    sweep.addConfig(profile, Mechanism::kBaseline, ops);
-    for (const unsigned bits : widths) {
-        campaign::Job job;
-        job.name = csprintf("sphinx3/aos/pac%u", bits);
-        job.profile = profile;
-        job.mech = Mechanism::kAos;
-        job.options.pacBits = bits;
-        job.ops = ops;
-        sweep.add(std::move(job));
-    }
+    sweep.add({.profile = profile, .mech = Mechanism::kBaseline, .ops = ops});
+    for (const unsigned bits : widths)
+        sweep.add({.name = csprintf("sphinx3/aos/pac%u", bits),
+                   .profile = profile, .mech = Mechanism::kAos,
+                   .options = {.pacBits = bits}, .ops = ops});
     const campaign::CampaignResult result = sweep.run();
     exitIfInterrupted(result);
     if (!result.allOk()) {

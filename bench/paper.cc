@@ -4,11 +4,11 @@
  * counts, as one campaign.
  *
  * The five figures are views over one set of cells, so the sweep
- * queues their union once: per SPEC profile, the Baseline and the four
- * evaluated mechanisms (Figs. 14, 16, 18) plus five AOS ablations
- * (Figs. 15, 17). It then prints the tables in figure order, each from
- * the finished runs alone and each with the paper's reference numbers
- * under it.
+ * queues their union once: campaign::paperCells(), per SPEC profile the
+ * Baseline and the four evaluated mechanisms (Figs. 14, 16, 18) plus
+ * five AOS ablations (Figs. 15, 17). It then prints the tables in
+ * figure order, each from the finished runs alone and each with the
+ * paper's reference numbers under it.
  *
  * Each cell is a pure function of (profile, options, seed, window), so
  * the tables are bit-identical whatever AOS_CAMPAIGN_JOBS is set to
@@ -23,50 +23,21 @@
 
 using namespace aos;
 using namespace aos::bench;
+using namespace aos::campaign;
 using baselines::Mechanism;
-using baselines::SystemOptions;
 
 namespace {
-
-/** The cells queued per profile, in job order. */
-enum Cell : unsigned {
-    kBaseline, kWatchdog, kPa, kAos, kPaAos,
-    kNoOpt, kL1BOnly, kCompressOnly, kNoBwb, kNoFwd,
-    kNumCells
-};
-
-constexpr unsigned kNumMechs = kNoOpt; // Baseline + the four evaluated.
-
-const Mechanism kMechs[kNumMechs] = {Mechanism::kBaseline,
-                                     Mechanism::kWatchdog, Mechanism::kPa,
-                                     Mechanism::kAos, Mechanism::kPaAos};
-
-/** An AOS ablation: job-name suffix and options. */
-struct Ablation
-{
-    const char *name;
-    SystemOptions options;
-};
-
-/** Indexed by cell - kNumMechs. */
-const Ablation kAblations[kNumCells - kNumMechs] = {
-    {"no-opt", {.boundsCompression = false, .useL1B = false}},
-    {"l1b-only", {.boundsCompression = false}},
-    {"compress-only", {.useL1B = false}},
-    {"no-bwb", {.useBwb = false}},
-    {"no-fwd", {.boundsForwarding = false}},
-};
 
 /** The finished grid: one run per (profile, cell). */
 struct Grid
 {
     const std::vector<workloads::WorkloadProfile> &profiles;
-    campaign::CampaignResult &result;
+    CampaignResult &result;
 
-    campaign::JobResult &
+    JobResult &
     job(size_t p, unsigned cell) const
     {
-        return result.jobs[p * kNumCells + cell];
+        return result.jobs[p * kNumPaperCells + cell];
     }
 
     const core::RunResult &
@@ -94,10 +65,10 @@ mechanismTable(const Grid &grid, Norm norm)
     std::printf("%-12s %10s %10s %10s %10s\n", "workload", "Watchdog",
                 "PA", "AOS", "PA+AOS");
     rule(56);
-    GeoAccum geo[kNumMechs - 1];
+    GeoAccum geo[kNumPaperMechs - 1];
     for (size_t p = 0; p < grid.profiles.size(); ++p) {
         std::printf("%-12s", grid.profiles[p].name.c_str());
-        for (unsigned m = 1; m < kNumMechs; ++m) {
+        for (unsigned m = 1; m < kNumPaperMechs; ++m) {
             const double v = norm(p, m);
             geo[m - 1].add(v);
             std::printf(" %10.3f", v);
@@ -147,10 +118,10 @@ fig15(const Grid &grid, u64 ops)
     struct Column
     {
         const char *name;
-        Cell cell;
+        PaperCell cell;
     };
     const Column columns[] = {
-        {"no-opt", kNoOpt},       {"L1-B", kL1BOnly},
+        {ablationName(kNoOpt), kNoOpt}, {"L1-B", kL1BOnly},
         {"compress", kCompressOnly}, {"both", kAos},
         {"both-noBWB", kNoBwb},   {"both-noFWD", kNoFwd},
     };
@@ -262,30 +233,18 @@ main()
     setQuiet(true);
     const u64 ops = simOps();
 
-    campaign::Campaign sweep(campaignOptions("paper"));
-    const auto &profiles = workloads::specProfiles();
-    for (const auto &profile : profiles) {
-        for (const Mechanism mech : kMechs)
-            sweep.addConfig(profile, mech, ops);
-        for (const Ablation &variant : kAblations) {
-            campaign::Job job;
-            job.name = profile.name + "/aos/" + variant.name;
-            job.profile = profile;
-            job.mech = Mechanism::kAos;
-            job.options = variant.options;
-            job.ops = ops;
-            sweep.add(std::move(job));
-        }
-    }
-    campaign::CampaignResult result = sweep.run();
+    Campaign sweep(campaignOptions("paper"));
+    for (Job &job : paperCells(ops))
+        sweep.add(std::move(job));
+    CampaignResult result = sweep.run();
     exitIfInterrupted(result);
     if (!result.allOk()) {
         std::fprintf(stderr, "paper: %u job(s) failed\n",
-                     result.count(campaign::JobStatus::kFailed));
+                     result.count(JobStatus::kFailed));
         return 1;
     }
 
-    const Grid grid{profiles, result};
+    const Grid grid{workloads::specProfiles(), result};
     const bool sane = fig14(grid, ops);
     std::printf("\n");
     fig15(grid, ops);
@@ -296,19 +255,19 @@ main()
     std::printf("\n");
     fig18(grid, ops);
 
-    std::vector<campaign::Reducer> reducers;
-    for (unsigned m = 1; m < kNumMechs; ++m) {
-        const Mechanism mech = kMechs[m];
+    std::vector<Reducer> reducers;
+    for (unsigned m = 1; m < kNumPaperMechs; ++m) {
+        const Mechanism mech = kPaperMechs[m];
         // Only the Fig. 14 cells carry norm_exec_time, so the AOS
         // ablations drop out of the geomean.
         reducers.push_back(
             {std::string("geomean_norm_") + baselines::mechanismName(mech),
-             campaign::ReduceOp::kGeomean, "norm_exec_time",
-             [mech](const campaign::JobResult &job) {
+             ReduceOp::kGeomean, "norm_exec_time",
+             [mech](const JobResult &job) {
                  return job.mech == mech;
              }});
     }
-    campaign::computeReducers(result, reducers);
+    computeReducers(result, reducers);
     const bool json_ok = emitCampaignJson(result, "paper");
     if (!sane)
         std::fprintf(stderr,

@@ -33,7 +33,7 @@ main()
     const auto &profiles = workloads::specProfiles();
     for (const auto &profile : profiles)
         for (const Mechanism mech : mechs)
-            sweep.addConfig(profile, mech, ops);
+            sweep.add({.profile = profile, .mech = mech, .ops = ops});
     const campaign::CampaignResult result = sweep.run();
     exitIfInterrupted(result);
     if (!result.allOk()) {

@@ -139,6 +139,11 @@ HeapAllocator::malloc(u64 size)
             ++_stats.fastbinHits;
             Chunk *chunk = _chunks.find(base);
             if (chunk) {
+                // A fastbin dup (free a, free b, free a) hands a out
+                // again while it is still live: it keeps its one
+                // live-list entry and the size of its first malloc.
+                if (chunk->liveSlot != kNotLive)
+                    return base + kHeader;
                 chunk->free = false;
                 chunk->inFastbin = false;
                 chunk->size = static_cast<u32>(size);

@@ -136,20 +136,6 @@ Campaign::add(Job job)
     return static_cast<u32>(_jobs.size() - 1);
 }
 
-u32
-Campaign::addConfig(const workloads::WorkloadProfile &profile,
-                    baselines::Mechanism mech, u64 ops,
-                    const baselines::SystemOptions &base, u64 seed)
-{
-    Job job;
-    job.profile = profile;
-    job.mech = mech;
-    job.options = base;
-    job.ops = ops;
-    job.seed = seed;
-    return add(std::move(job));
-}
-
 void
 Campaign::addReducer(Reducer reducer)
 {
@@ -392,6 +378,52 @@ CampaignResult::writeJsonFile(const std::string &path,
         return false;
     writeJson(os, includeTimings);
     return static_cast<bool>(os);
+}
+
+namespace {
+
+/** An AOS ablation: job-name suffix and options. */
+struct Ablation
+{
+    const char *name;
+    baselines::SystemOptions options;
+};
+
+/** Indexed by cell - kNumPaperMechs. */
+const Ablation kAblations[kNumPaperCells - kNumPaperMechs] = {
+    {"no-opt", {.boundsCompression = false, .useL1B = false}},
+    {"l1b-only", {.boundsCompression = false}},
+    {"compress-only", {.useL1B = false}},
+    {"no-bwb", {.useBwb = false}},
+    {"no-fwd", {.boundsForwarding = false}},
+};
+
+} // namespace
+
+const char *
+ablationName(PaperCell cell)
+{
+    panic_if(cell < kNumPaperMechs || cell >= kNumPaperCells,
+             "cell %u is not an AOS ablation", cell);
+    return kAblations[cell - kNumPaperMechs].name;
+}
+
+std::vector<Job>
+paperCells(u64 ops)
+{
+    using baselines::Mechanism;
+    std::vector<Job> jobs;
+    for (const auto &profile : workloads::specProfiles()) {
+        for (const Mechanism mech : kPaperMechs)
+            jobs.push_back({.name = profile.name + "/" +
+                                    baselines::mechanismName(mech),
+                            .profile = profile, .mech = mech, .ops = ops});
+        for (const Ablation &variant : kAblations)
+            jobs.push_back({.name = profile.name + "/aos/" + variant.name,
+                            .profile = profile, .mech = Mechanism::kAos,
+                            .options = variant.options, .ops = ops});
+    }
+    return jobs;
 }
 
 unsigned

@@ -43,13 +43,16 @@
 
 namespace aos::campaign {
 
-/** One independent experiment in a campaign. */
+/**
+ * One independent experiment in a campaign. Every member has an
+ * initializer, so a designated initializer may name any subset.
+ */
 struct Job
 {
-    std::string name;    //!< Label; defaults to "<profile>/<mech>".
-    workloads::WorkloadProfile profile;
+    std::string name{};  //!< Label; defaults to "<profile>/<mech>".
+    workloads::WorkloadProfile profile{};
     baselines::Mechanism mech = baselines::Mechanism::kBaseline;
-    baselines::SystemOptions options; //!< mech/ops/seed overridden below.
+    baselines::SystemOptions options{}; //!< mech/ops/seed overridden below.
     u64 seed = 0;        //!< Workload seed salt (determinism contract).
     u64 ops = 0;         //!< Measured micro-ops; 0 = options.measureOps.
 
@@ -59,7 +62,7 @@ struct Job
      * campaign's CancelToken so it can poll cancellation points and be
      * preempted like a simulation job.
      */
-    std::function<core::RunResult(const CancelToken &)> cancellableBody;
+    std::function<core::RunResult(const CancelToken &)> cancellableBody{};
 };
 
 enum class JobStatus { kPending, kOk, kFailed, kCancelled };
@@ -169,11 +172,6 @@ class Campaign
     /** Queue a job; returns its id (= index into result.jobs). */
     u32 add(Job job);
 
-    /** Grid convenience: one simulation config as a job. */
-    u32 addConfig(const workloads::WorkloadProfile &profile,
-                  baselines::Mechanism mech, u64 ops,
-                  const baselines::SystemOptions &base = {}, u64 seed = 0);
-
     void addReducer(Reducer reducer);
 
     size_t size() const { return _jobs.size(); }
@@ -203,6 +201,35 @@ class Campaign
  */
 void computeReducers(CampaignResult &result,
                      const std::vector<Reducer> &reducers);
+
+/**
+ * The cells paperCells() lists per SPEC profile, in job order: the
+ * Baseline and the four evaluated mechanisms (Figs. 14, 16, 18), then
+ * five AOS ablations (Figs. 15, 17).
+ */
+enum PaperCell : unsigned {
+    kBaseline, kWatchdog, kPa, kAos, kPaAos,
+    kNoOpt, kL1BOnly, kCompressOnly, kNoBwb, kNoFwd,
+    kNumPaperCells
+};
+
+/** The mechanism cells, [0, kNumPaperMechs), in order. */
+constexpr unsigned kNumPaperMechs = kNoOpt;
+inline constexpr baselines::Mechanism kPaperMechs[kNumPaperMechs] = {
+    baselines::Mechanism::kBaseline, baselines::Mechanism::kWatchdog,
+    baselines::Mechanism::kPa, baselines::Mechanism::kAos,
+    baselines::Mechanism::kPaAos};
+
+/** The job-name suffix of an AOS ablation cell (kNoOpt..kNoFwd). */
+const char *ablationName(PaperCell cell);
+
+/**
+ * The paper's evaluation grid at an @p ops window, profile-major: the
+ * job of (profile p of workloads::specProfiles(), cell c) sits at
+ * p * kNumPaperCells + c and is named "<profile>/<mechanism>", or
+ * "<profile>/aos/<ablation>" for an ablation.
+ */
+std::vector<Job> paperCells(u64 ops);
 
 /**
  * AOS_CAMPAIGN_JOBS env override; @p fallback when unset or 0.

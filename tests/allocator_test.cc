@@ -110,8 +110,8 @@ TEST(Allocator, ForgedChunkLiveOnlyWhileHandedOut)
 TEST(Allocator, FastbinDupHandsOutOneChunkTwice)
 {
     // After free(a); free(b); free(a) the bin holds a twice, so two
-    // mallocs return a. The live list then carries a twice, and one
-    // free of a retires only the newest entry.
+    // mallocs return a. The live list still holds a once, so one free
+    // of a retires it.
     HeapAllocator heap;
     const Addr a = heap.malloc(48);
     const Addr b = heap.malloc(48);
@@ -122,11 +122,14 @@ TEST(Allocator, FastbinDupHandsOutOneChunkTwice)
     EXPECT_EQ(heap.malloc(48), b);
     EXPECT_EQ(heap.malloc(48), a);
     EXPECT_TRUE(heap.live(a));
-    EXPECT_EQ(heap.liveCount(), 3u);
+    EXPECT_EQ(heap.liveCount(), 2u);
+    EXPECT_EQ(heap.stats().active, 2u);
     EXPECT_EQ(heap.free(a), FreeResult::kOk);
     EXPECT_FALSE(heap.live(a));
     EXPECT_TRUE(heap.live(b));
-    EXPECT_EQ(heap.liveCount(), 2u);
+    EXPECT_EQ(heap.liveCount(), 1u);
+    EXPECT_EQ(heap.stats().active, 1u);
+    EXPECT_EQ(heap.liveChunk(0), b);
 }
 
 TEST(Allocator, FastbinLifoReuse)

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -72,9 +73,11 @@ tinySimCampaign(unsigned workers)
     Campaign c(options);
     for (const char *name : {"bzip2", "mcf"}) {
         const auto &profile = workloads::profileByName(name);
-        c.addConfig(profile, Mechanism::kBaseline, kTinyOps);
-        c.addConfig(profile, Mechanism::kAos, kTinyOps);
-        c.addConfig(profile, Mechanism::kPaAos, kTinyOps, {}, /*seed=*/7);
+        c.add({.profile = profile, .mech = Mechanism::kBaseline,
+               .ops = kTinyOps});
+        c.add({.profile = profile, .mech = Mechanism::kAos, .ops = kTinyOps});
+        c.add({.profile = profile, .mech = Mechanism::kPaAos, .seed = 7,
+               .ops = kTinyOps});
     }
     return c;
 }
@@ -109,11 +112,41 @@ TEST(CampaignDeterminism, SeedChangesTheRun)
     setQuiet(true);
     const auto &profile = workloads::profileByName("bzip2");
     Campaign c(CampaignOptions{});
-    c.addConfig(profile, Mechanism::kAos, kTinyOps, {}, /*seed=*/0);
-    c.addConfig(profile, Mechanism::kAos, kTinyOps, {}, /*seed=*/1);
+    for (const u64 seed : {0, 1})
+        c.add({.profile = profile, .mech = Mechanism::kAos, .seed = seed,
+               .ops = kTinyOps});
     CampaignResult r = c.run();
     ASSERT_TRUE(r.allOk());
     EXPECT_NE(r.jobs[0].run.core.cycles, r.jobs[1].run.core.cycles);
+}
+
+TEST(CampaignPaperCells, ProfileMajorGridInCellOrder)
+{
+    const auto &profiles = workloads::specProfiles();
+    const std::vector<Job> jobs = paperCells(kTinyOps);
+    ASSERT_EQ(jobs.size(), profiles.size() * kNumPaperCells);
+    ASSERT_EQ(jobs.size(), 160u);
+
+    std::set<std::string> names;
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        const std::string &profile = profiles[p].name;
+        for (unsigned cell = 0; cell < kNumPaperCells; ++cell) {
+            const Job &job = jobs[p * kNumPaperCells + cell];
+            SCOPED_TRACE(job.name);
+            const bool ablation = cell >= kNumPaperMechs;
+            EXPECT_EQ(job.profile.name, profile);
+            EXPECT_EQ(job.ops, kTinyOps);
+            EXPECT_EQ(job.mech, ablation ? Mechanism::kAos
+                                         : kPaperMechs[cell]);
+            EXPECT_EQ(job.name,
+                      ablation ? profile + "/aos/" +
+                                     ablationName(PaperCell(cell))
+                               : profile + "/" +
+                                     baselines::mechanismName(job.mech));
+            names.insert(job.name);
+        }
+    }
+    EXPECT_EQ(names.size(), jobs.size());
 }
 
 TEST(CampaignRobustness, ExceptionIsCapturedAndSweepContinues)
@@ -154,8 +187,8 @@ TEST(CampaignRobustness, SimulationJobIsPreemptedByShutdown)
     options.cancel = &shutdown;
     Campaign c(options);
     // A window this large takes far longer than 20ms uncancelled.
-    c.addConfig(workloads::profileByName("bzip2"),
-                Mechanism::kAos, 400'000'000);
+    c.add({.profile = workloads::profileByName("bzip2"),
+           .mech = Mechanism::kAos, .ops = 400'000'000});
 
     std::thread tripper([&shutdown] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));

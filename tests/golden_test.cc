@@ -1,9 +1,11 @@
 /**
  * @file
- * Golden snapshot: the canonical campaign JSON of a compact full
- * matrix — the 16 SPEC profiles × {baseline, watchdog, pa, aos,
- * pa_aos, pa_aos_belide} at a 20k-op window — compared byte for byte
- * against tests/golden/campaign_20k.json.
+ * Golden snapshot: the canonical campaign JSON of a 176-job matrix at
+ * a 20k-op window, compared byte for byte against
+ * tests/golden/campaign_20k.json. The matrix is the paper's grid,
+ * paperCells() (the 16 SPEC profiles × {baseline, watchdog, pa, aos,
+ * pa_aos} and the five AOS ablations of Figs. 15 and 17), then one
+ * pa_aos_belide job per profile.
  *
  * It pins the model as it is (not that it is right): any change to a
  * simulated statistic of any cell fails here, and the failure names
@@ -41,21 +43,13 @@ runGoldenMatrix()
     CampaignOptions options;
     options.name = "golden_20k";
     Campaign sweep(options);
-    baselines::SystemOptions belide;
-    belide.aosBoundsElision = true;
-    for (const auto &profile : workloads::specProfiles()) {
-        for (const Mechanism mech :
-             {Mechanism::kBaseline, Mechanism::kWatchdog, Mechanism::kPa,
-              Mechanism::kAos, Mechanism::kPaAos})
-            sweep.addConfig(profile, mech, kGoldenOps);
-        Job elided;
-        elided.name = profile.name + "/pa_aos_belide";
-        elided.profile = profile;
-        elided.mech = Mechanism::kPaAos;
-        elided.options = belide;
-        elided.ops = kGoldenOps;
-        sweep.add(std::move(elided));
-    }
+    for (Job &job : paperCells(kGoldenOps))
+        sweep.add(std::move(job));
+    for (const auto &profile : workloads::specProfiles())
+        sweep.add({.name = profile.name + "/pa_aos_belide",
+                   .profile = profile, .mech = Mechanism::kPaAos,
+                   .options = {.aosBoundsElision = true},
+                   .ops = kGoldenOps});
     return sweep.run();
 }
 
@@ -103,7 +97,7 @@ TEST(GoldenSnapshot, CampaignMatrixIsByteIdentical)
     setQuiet(true);
     const CampaignResult result = runGoldenMatrix();
     ASSERT_TRUE(result.allOk());
-    ASSERT_EQ(result.jobs.size(), 16u * 6u);
+    ASSERT_EQ(result.jobs.size(), paperCells(kGoldenOps).size() + 16);
 
     const std::string actual = result.json(/*includeTimings=*/false);
     const std::string expected = readFile(AOS_GOLDEN_FILE);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "mcu/memory_check_unit.hh"
 
 namespace aos::mcu {
@@ -443,10 +444,8 @@ INSTANTIATE_TEST_SUITE_P(
                       McuSweepCase{8, true, true, 8}),
     [](const ::testing::TestParamInfo<McuSweepCase> &info) {
         const auto &c = info.param;
-        return "p" + std::to_string(c.ports) +
-               (c.bwb ? "_bwb" : "_nobwb") +
-               (c.forwarding ? "_fwd" : "_nofwd") + "_a" +
-               std::to_string(c.assoc);
+        return csprintf("p%u%s%s_a%u", c.ports, c.bwb ? "_bwb" : "_nobwb",
+                        c.forwarding ? "_fwd" : "_nofwd", c.assoc);
     });
 
 TEST_F(McuTest, EnqueueRejectsNonMemoryOps)
