@@ -32,6 +32,7 @@
 
 #include <vector>
 
+#include "analysis/dataflow/chunk_instances.hh"
 #include "analysis/dataflow/engine.hh"
 #include "common/flat_map.hh"
 
@@ -112,6 +113,35 @@ class ElisionPlan
 
     const PlanStats &stats() const { return _stats; }
     bool empty() const { return _obligations.empty(); }
+
+    /** What a reader of a stream rewritten under a plan keeps per
+     *  chunk instance. */
+    struct Verdict
+    {
+        u32 size = 0;        //!< Requested object size in bytes.
+        bool elided = false; //!< The plan elides the instance.
+    };
+    using Instances = ChunkInstances<Verdict>;
+
+    /**
+     * Advance @p instances over @p op of a rewritten stream under the
+     * chunk-instance rule; each new instance gets this plan's verdict.
+     * An elided instance stays elided, open or closed, until its
+     * base's next malloc, so its whole free sequence and any
+     * use-after-free still attribute to it.
+     */
+    void
+    track(Instances &instances, const ir::MicroOp &op) const
+    {
+        if (op.chunkBase == 0)
+            return;
+        if (op.kind == ir::OpKind::kMallocMark) {
+            auto &inst = instances.onMalloc(op.chunkBase);
+            inst.payload = {op.size, elided(op.chunkBase, inst.gen)};
+        } else if (op.kind == ir::OpKind::kFreeMark) {
+            instances.onFree(op.chunkBase);
+        }
+    }
 
   private:
     friend ElisionPlan planBoundsElision(const DataflowEngine &engine);

@@ -13,13 +13,6 @@ constexpr size_t kBlock = 1024;
 
 } // namespace
 
-ChunkSummary *
-DataflowEngine::openAt(Addr base)
-{
-    BaseState *st = _bases.find(base);
-    return st && st->open ? &_summaries[st->latest] : nullptr;
-}
-
 size_t
 DataflowEngine::coveringIndex(Addr raw) const
 {
@@ -42,25 +35,25 @@ DataflowEngine::onMalloc(const ir::MicroOp &op)
     const Addr base = op.chunkBase;
     if (base == 0)
         return;
-    BaseState &st = _bases[base];
+    bool stale = false;
+    auto &inst = _instances.onMalloc(base, &stale);
     // A re-allocation at a still-open base means the allocator model
     // and the stream disagree; close the stale instance defensively.
-    if (st.open) {
-        _summaries[st.latest].escape.onUnknownAlias();
+    if (stale) {
+        _summaries[inst.payload].escape.onUnknownAlias();
         _extents.erase(base);
     }
 
     ChunkSummary sum;
     sum.base = base;
-    sum.gen = ++st.gen;
+    sum.gen = inst.gen;
     sum.size = op.size;
     sum.mallocOp = _opIndex;
     sum.lastOp = _opIndex;
 
     const size_t idx = _summaries.size();
     _summaries.push_back(sum);
-    st.latest = idx;
-    st.open = true;
+    inst.payload = idx;
     if (sum.size)
         _extents[base] = {base + sum.size, idx};
 }
@@ -71,20 +64,20 @@ DataflowEngine::onFree(const ir::MicroOp &op)
     const Addr base = op.chunkBase;
     if (base == 0)
         return;
-    BaseState *st = _bases.find(base);
-    if (st == nullptr) {
+    bool was_open = false;
+    const auto *inst = _instances.onFree(base, &was_open);
+    if (inst == nullptr) {
         ++_invalidFrees;
         return;
     }
     // Freeing a base whose instance is already closed is the second
     // free of a double-free pair: it is attributed to the latest
     // instance so the plan rejects it as temporally unsafe.
-    ChunkSummary &sum = _summaries[st->latest];
+    ChunkSummary &sum = _summaries[inst->payload];
     ++sum.freeCount;
     sum.lastOp = _opIndex;
-    if (st->open) {
+    if (was_open) {
         sum.freeOp = _opIndex;
-        st->open = false;
         _extents.erase(base);
     }
 }
@@ -105,13 +98,13 @@ DataflowEngine::onAccess(const ir::MicroOp &op)
         return;
     }
 
-    const BaseState *st = _bases.find(op.chunkBase);
-    if (st == nullptr) {
+    const auto *inst = _instances.find(op.chunkBase);
+    if (inst == nullptr) {
         ++_orphanAccesses;
         return;
     }
-    ChunkSummary *sum = &_summaries[st->latest];
-    if (!st->open) {
+    ChunkSummary *sum = &_summaries[inst->payload];
+    if (!inst->open) {
         // Access attributed to a freed instance: use-after-free.
         ++sum->accessesAfterFree;
         sum->lastOp = _opIndex;
@@ -147,9 +140,11 @@ DataflowEngine::onAutm(const ir::MicroOp &op)
 {
     if (op.chunkBase == 0)
         return;
-    if (ChunkSummary *sum = openAt(op.chunkBase)) {
-        ++sum->autms;
-        sum->lastOp = _opIndex;
+    const auto *inst = _instances.find(op.chunkBase);
+    if (inst && inst->open) {
+        ChunkSummary &sum = _summaries[inst->payload];
+        ++sum.autms;
+        sum.lastOp = _opIndex;
     }
 }
 
@@ -158,11 +153,9 @@ DataflowEngine::step(const ir::MicroOp &op)
 {
     switch (op.kind) {
       case ir::OpKind::kMallocMark:
-      case ir::OpKind::kAosMallocIntr:
         onMalloc(op);
         break;
       case ir::OpKind::kFreeMark:
-      case ir::OpKind::kAosFreeIntr:
         onFree(op);
         break;
       case ir::OpKind::kLoad:
@@ -196,8 +189,8 @@ DataflowEngine::run(ir::InstStream &stream, const CancelToken *cancel)
 const ChunkSummary *
 DataflowEngine::current(Addr base) const
 {
-    const BaseState *st = _bases.find(base);
-    return st && st->open ? &_summaries[st->latest] : nullptr;
+    const auto *inst = _instances.find(base);
+    return inst && inst->open ? &_summaries[inst->payload] : nullptr;
 }
 
 ProvenanceValue

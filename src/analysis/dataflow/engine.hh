@@ -10,13 +10,15 @@
  *
  * It interprets both source-level streams (kMallocMark/kFreeMark plus
  * raw accesses, as SyntheticWorkload emits them) and lowered streams
- * (intrinsics and autm ops are attributed too). Because every workload
- * stream in this repo is a pure function of (profile, measureOps,
- * seedSalt), AosSystem can run the engine on a regenerated duplicate
- * stream and obtain an *exact* model of the stream the pipeline will
- * see — the "whole program" of this simulator. Front-ends with real
- * control flow would instead run the engine per path and join() the
- * summaries; the domains support that, the streams here don't need it.
+ * (which keep the markers; autm ops are attributed too). Instances
+ * follow the one chunk-instance rule of chunk_instances.hh. Because
+ * every workload stream in this repo is a pure function of (profile,
+ * measureOps, seedSalt), AosSystem can run the engine on a regenerated
+ * duplicate stream and obtain an *exact* model of the stream the
+ * pipeline will see — the "whole program" of this simulator.
+ * Front-ends with real control flow would instead run the engine per
+ * path and join() the summaries; the domains support that, the streams
+ * here don't need it.
  *
  * Escape events observable in this IR are pointer loads
  * (MicroOp::loadsPointer) and unknown-provenance aliasing (an access
@@ -25,8 +27,8 @@
  * front-ends; this IR's kCall carries no pointer arguments, so calls
  * transfer nothing here.
  *
- * Per-base state is one FlatU64Map probe per attributed op: the newest
- * instance's summary index, its generation and whether it is live.
+ * Per-base state is one ChunkInstances probe per attributed op; the
+ * engine's payload is the newest instance's summary index.
  */
 
 #ifndef AOS_ANALYSIS_DATAFLOW_ENGINE_HH
@@ -35,9 +37,9 @@
 #include <map>
 #include <vector>
 
+#include "analysis/dataflow/chunk_instances.hh"
 #include "analysis/dataflow/domains.hh"
 #include "common/cancel.hh"
-#include "common/flat_map.hh"
 #include "ir/micro_op.hh"
 #include "pa/pointer_layout.hh"
 
@@ -114,22 +116,14 @@ class DataflowEngine
     void onAccess(const ir::MicroOp &op);
     void onAutm(const ir::MicroOp &op);
 
-    ChunkSummary *openAt(Addr base);
     /** Summary index of the live chunk whose extent covers @p raw. */
     size_t coveringIndex(Addr raw) const;
-
-    /** The timeline of instances allocated at one base. */
-    struct BaseState
-    {
-        size_t latest = 0; //!< Summary index of the newest instance.
-        u32 gen = 0;       //!< Instances allocated here so far.
-        bool open = false; //!< The newest instance is not yet freed.
-    };
 
     const pa::PointerLayout &_layout;
 
     std::vector<ChunkSummary> _summaries;
-    FlatU64Map<BaseState> _bases;
+    /** Per base: the summary index of its newest instance. */
+    ChunkInstances<size_t> _instances;
     /** Live extents for alias lookup: base -> (end, summary index). */
     std::map<Addr, std::pair<Addr, size_t>> _extents;
 

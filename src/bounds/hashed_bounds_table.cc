@@ -138,6 +138,20 @@ HashedBoundsTable::check(u64 pac, Addr addr, unsigned start_way,
     return std::nullopt;
 }
 
+unsigned
+HashedBoundsTable::insertOrGrow(u64 pac, Compressed record, u64 *grows)
+{
+    std::optional<unsigned> way = insert(pac, record);
+    while (!way) {
+        beginResize();
+        finishResize();
+        if (grows)
+            ++*grows;
+        way = insert(pac, record);
+    }
+    return *way;
+}
+
 void
 HashedBoundsTable::beginResize()
 {

@@ -105,6 +105,15 @@ class HashedBoundsTable
     std::optional<unsigned> insert(u64 pac, Compressed record);
 
     /**
+     * bndstr with the functional AOS exception: insert(), and while
+     * the row is full, grow the table, migrate every row at once and
+     * retry. Returns the way used. Each grow adds one to @p grows when
+     * it is given. (The timed MCU path instead raises the exception to
+     * the OS model and retries the bndstr on a later cycle.)
+     */
+    unsigned insertOrGrow(u64 pac, Compressed record, u64 *grows = nullptr);
+
+    /**
      * bndclr: find the record whose lower bound equals @p raw_addr and
      * zero it. Returns the way on success, nullopt on failure (double
      * free / invalid free).

@@ -11,33 +11,34 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
     }
 
     switch (in.kind) {
-      case ir::OpKind::kMallocMark: {
-        // Generation bookkeeping must mirror the DataflowEngine's so
-        // plan verdicts attach to the same instances.
+      case ir::OpKind::kMallocMark:
         if (in.chunkBase != 0) {
-            BaseState &st = _bases[in.chunkBase];
-            st.freeing = false;
-            st.elidedOpen = _plan->elided(in.chunkBase, ++st.gen);
+            auto &inst = _instances.onMalloc(in.chunkBase);
+            inst.payload = {_plan->elided(in.chunkBase, inst.gen), false};
         }
         emit(in);
         return;
-      }
+
+      case ir::OpKind::kFreeMark:
+        if (in.chunkBase != 0)
+            _instances.onFree(in.chunkBase);
+        emit(in);
+        return;
 
       case ir::OpKind::kPacma:
         if (in.chunkBase != 0) {
             // Malloc-side signing (carries the chunk base).
             ++_stats.pacmaSeen;
-            if (elidedOpen(in.chunkBase)) {
+            if (elided(in.chunkBase)) {
                 ++_stats.pacmaElided;
                 return;
             }
         } else if (in.size == 0) {
-            if (BaseState *st = freeing(_layout.strip(in.addr))) {
+            if (Payload *p = freeing(_layout.strip(in.addr))) {
                 // Free-side re-sign of an elided chunk's pointer: the
-                // last op of the free quadruple; the instance is
-                // closed.
-                st->freeing = false;
-                st->elidedOpen = false;
+                // last op of the free quadruple ends the elision.
+                p->freeing = false;
+                p->elided = false;
                 ++_stats.pacmaElided;
                 return;
             }
@@ -47,7 +48,7 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
 
       case ir::OpKind::kBndstr:
         ++_stats.bndstrSeen;
-        if (in.chunkBase != 0 && elidedOpen(in.chunkBase)) {
+        if (in.chunkBase != 0 && elided(in.chunkBase)) {
             ++_stats.bndstrElided;
             return;
         }
@@ -57,9 +58,9 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
       case ir::OpKind::kBndclr:
         ++_stats.bndclrSeen;
         // Base 0 is never tracked, so it finds no state here.
-        if (BaseState *st = elidedOpen(in.chunkBase)) {
+        if (Payload *p = elided(in.chunkBase)) {
             ++_stats.bndclrElided;
-            st->freeing = true;
+            p->freeing = true;
             return;
         }
         emit(in);
@@ -74,7 +75,7 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
         return;
 
       case ir::OpKind::kAutm:
-        if (in.chunkBase != 0 && elidedOpen(in.chunkBase)) {
+        if (in.chunkBase != 0 && elided(in.chunkBase)) {
             ++_stats.autmElided;
             return;
         }
@@ -83,7 +84,7 @@ AosBoundsElidePass::transform(const ir::MicroOp &in)
 
       case ir::OpKind::kLoad:
       case ir::OpKind::kStore:
-        if (in.chunkBase != 0 && elidedOpen(in.chunkBase) &&
+        if (in.chunkBase != 0 && elided(in.chunkBase) &&
             _layout.signed_(in.addr)) {
             ir::MicroOp out = in;
             out.addr = _layout.strip(in.addr);

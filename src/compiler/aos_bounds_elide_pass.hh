@@ -20,6 +20,14 @@
  *     a pointer load from a chunk makes it escape, so elided chunks
  *     have no attributed authentications — the counter is defensive).
  *
+ * Instances follow the one chunk-instance rule (chunk_instances.hh),
+ * so plan verdicts attach to the instances the engine summarized. One
+ * thing is the pass's own: an elided instance stops being elided at
+ * its re-sign pacma, the last op of its free quadruple, although it
+ * stays the base's instance until the next malloc. A signed access
+ * after that (a use-after-free the plan did not foresee) is then left
+ * signed, so it still traps.
+ *
  * Everything else — other chunks, unsigned accesses, invalid frees —
  * passes through untouched, which is what preserves the detection set:
  * an elided check is one the plan proved could never fire, and even a
@@ -31,8 +39,8 @@
 #ifndef AOS_COMPILER_AOS_BOUNDS_ELIDE_PASS_HH
 #define AOS_COMPILER_AOS_BOUNDS_ELIDE_PASS_HH
 
+#include "analysis/dataflow/chunk_instances.hh"
 #include "analysis/dataflow/elision_plan.hh"
-#include "common/flat_map.hh"
 #include "compiler/pass.hh"
 #include "pa/pointer_layout.hh"
 
@@ -75,41 +83,46 @@ class AosBoundsElidePass : public Pass
 
     const BoundsElideStats &stats() const { return _stats; }
 
-  protected:
-    void transform(const ir::MicroOp &in) override;
-
-  private:
-    /** What the pass tracks per chunk base. */
-    struct BaseState
+    /** What the pass keeps per chunk instance. */
+    struct Payload
     {
-        /** Allocation ordinal; must mirror DataflowEngine. */
-        u32 gen = 0;
-        /** The *current* instance is elided. */
-        bool elidedOpen = false;
+        /** Elided by the plan, until its re-sign pacma. */
+        bool elided = false;
         /** Elided, between its bndclr and its re-sign pacma. */
         bool freeing = false;
     };
 
-    /** The state of @p base if its current instance is elided. */
-    BaseState *
-    elidedOpen(Addr base)
+    /** The chunk instances seen so far. */
+    const analysis::dataflow::ChunkInstances<Payload> &
+    instances() const
     {
-        BaseState *st = _bases.find(base);
-        return st && st->elidedOpen ? st : nullptr;
+        return _instances;
     }
 
-    /** The state of @p base if it is between bndclr and re-sign. */
-    BaseState *
+  protected:
+    void transform(const ir::MicroOp &in) override;
+
+  private:
+    /** The payload of @p base's instance if it is elided. */
+    Payload *
+    elided(Addr base)
+    {
+        auto *inst = _instances.find(base);
+        return inst && inst->payload.elided ? &inst->payload : nullptr;
+    }
+
+    /** The payload of @p base's instance if it is being freed. */
+    Payload *
     freeing(Addr base)
     {
-        BaseState *st = _bases.find(base);
-        return st && st->freeing ? st : nullptr;
+        auto *inst = _instances.find(base);
+        return inst && inst->payload.freeing ? &inst->payload : nullptr;
     }
 
     pa::PointerLayout _layout;
     const analysis::dataflow::ElisionPlan *_plan;
 
-    FlatU64Map<BaseState> _bases;
+    analysis::dataflow::ChunkInstances<Payload> _instances;
 
     BoundsElideStats _stats;
 };

@@ -49,15 +49,8 @@ AosRuntime::malloc(u64 size)
     // pacma ptr, sp, size ; bndstr ptr, size (Fig. 7a).
     const Addr signed_ptr = _pa.pacma(raw, _config.spModifier, size);
     const u64 pac = _pa.layout().pac(signed_ptr);
-    auto way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    while (!way) {
-        // bndstr exception: the OS resizes and the store retries.
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    }
+    _os.hbt().insertOrGrow(pac, bounds::compress(raw, size),
+                           &_stats.hbtResizes);
     return signed_ptr;
 }
 
@@ -203,14 +196,8 @@ AosRuntime::protectStack(Addr frame_addr, u64 size)
         return 0;
     const Addr signed_ptr = _pa.pacmb(raw, _config.spModifier, size);
     const u64 pac = _pa.layout().pac(signed_ptr);
-    auto way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    while (!way) {
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(raw, size));
-    }
+    _os.hbt().insertOrGrow(pac, bounds::compress(raw, size),
+                           &_stats.hbtResizes);
     ++_stats.stackProtects;
     return signed_ptr;
 }
@@ -248,14 +235,8 @@ AosRuntime::narrow(Addr signed_parent, u64 offset, u64 len)
         _pa.pacma(field, _config.spModifier ^ kNarrowDiscriminator,
                   span);
     const u64 pac = _pa.layout().pac(signed_field);
-    auto way = _os.hbt().insert(pac, bounds::compress(field, span));
-    while (!way) {
-        if (!_os.hbt().resizing())
-            _os.hbt().beginResize();
-        _os.hbt().finishResize();
-        ++_stats.hbtResizes;
-        way = _os.hbt().insert(pac, bounds::compress(field, span));
-    }
+    _os.hbt().insertOrGrow(pac, bounds::compress(field, span),
+                           &_stats.hbtResizes);
     ++_stats.narrows;
     return signed_field;
 }

@@ -134,12 +134,6 @@ RunResult::toStatSet() const
     return set;
 }
 
-void
-RunResult::dump(std::ostream &os) const
-{
-    toStatSet().dump(os);
-}
-
 AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
                      const baselines::SystemOptions &options)
     : _profile(profile), _options(options)
@@ -299,15 +293,9 @@ AosSystem::fastForward()
                 const u64 pac = layout.pac(op.addr);
                 const Addr raw = layout.strip(op.addr);
                 auto &hbt = _os->hbt();
-                auto way =
-                    hbt.insert(pac, bounds::compress(raw, op.size));
-                while (!way) {
-                    if (!hbt.resizing())
-                        hbt.beginResize();
-                    hbt.finishResize();
-                    way = hbt.insert(pac, bounds::compress(raw, op.size));
-                }
-                _mem->boundsAccess(hbt.wayAddr(pac, *way), true);
+                const unsigned way =
+                    hbt.insertOrGrow(pac, bounds::compress(raw, op.size));
+                _mem->boundsAccess(hbt.wayAddr(pac, way), true);
                 break;
               }
               case ir::OpKind::kBndclr:

@@ -73,9 +73,6 @@ struct RunResult
 
     /** Flatten into a named stat set (gem5-style dump). */
     StatSet toStatSet() const;
-
-    /** Write "workload.mech.stat value" lines (gem5 stats.txt style). */
-    void dump(std::ostream &os) const;
 };
 
 class AosSystem

@@ -17,10 +17,6 @@ using sliceddetail::transpose64;
 
 namespace {
 
-#if defined(AOS_QARMA_HAVE_VEC128)
-typedef u64 Vec128 __attribute__((vector_size(16)));
-#endif
-
 // ---------------------------------------------------------------------
 // Plane-network tables, derived from the scalar implementation.
 // ---------------------------------------------------------------------
@@ -191,10 +187,7 @@ simd512Usable()
 SlicedKernel
 resolveKernel(SlicedKernel requested)
 {
-    const bool have_simd = QarmaSliced::simdCompiledIn();
     if (requested != SlicedKernel::kAuto) {
-        panic_if(requested == SlicedKernel::kSimd128 && !have_simd,
-                 "QarmaSliced: 128-lane kernel not compiled in");
         panic_if(requested == SlicedKernel::kSimd512 && !simd512Usable(),
                  "QarmaSliced: 512-lane kernel not available "
                  "(not compiled in, or host lacks AVX-512)");
@@ -202,28 +195,13 @@ resolveKernel(SlicedKernel requested)
     }
     const std::string knob = envString("AOS_QARMA_KERNEL", "auto");
     if (knob == "auto" || knob.empty()) {
-        if (simd512Usable())
-            return SlicedKernel::kSimd512;
-        return have_simd ? SlicedKernel::kSimd128
-                         : SlicedKernel::kSliced64;
+        return simd512Usable() ? SlicedKernel::kSimd512
+                               : SlicedKernel::kSliced64;
     }
     if (knob == "scalar")
         return SlicedKernel::kScalar;
     if (knob == "sliced")
         return SlicedKernel::kSliced64;
-    if (knob == "simd") {
-        // Widest vector kernel this build + host supports.
-        if (simd512Usable())
-            return SlicedKernel::kSimd512;
-        fatal_if(!have_simd, "AOS_QARMA_KERNEL=simd but no vector "
-                             "kernel was compiled in");
-        return SlicedKernel::kSimd128;
-    }
-    if (knob == "simd128") {
-        fatal_if(!have_simd, "AOS_QARMA_KERNEL=simd128 but the "
-                             "128-lane kernel was not compiled in");
-        return SlicedKernel::kSimd128;
-    }
     if (knob == "simd512") {
         fatal_if(!simd512Usable(),
                  "AOS_QARMA_KERNEL=simd512 but the 512-lane kernel is "
@@ -231,7 +209,7 @@ resolveKernel(SlicedKernel requested)
         return SlicedKernel::kSimd512;
     }
     fatal("AOS_QARMA_KERNEL: unknown kernel '%s' "
-          "(auto|scalar|sliced|simd|simd128|simd512)",
+          "(auto|scalar|sliced|simd512)",
           knob.c_str());
 }
 
@@ -249,16 +227,6 @@ QarmaSliced::QarmaSliced(Sbox sbox, unsigned rounds, SlicedKernel kernel)
 }
 
 bool
-QarmaSliced::simdCompiledIn()
-{
-#if defined(AOS_QARMA_HAVE_VEC128)
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool
 QarmaSliced::simd512Available()
 {
     return simd512Usable();
@@ -272,8 +240,6 @@ QarmaSliced::lanes() const
         return 1;
       case SlicedKernel::kSliced64:
         return 64;
-      case SlicedKernel::kSimd128:
-        return 128;
       case SlicedKernel::kSimd512:
         return 512;
       case SlicedKernel::kAuto:
@@ -298,12 +264,6 @@ QarmaSliced::encrypt(const u64 *pt, const u64 *tw, size_t n,
                 sliceddetail::encryptChunk512(lt, sb, _rounds, ks,
                                               pt + i, tw + i, take,
                                               ct + i);
-            else
-#endif
-#if defined(AOS_QARMA_HAVE_VEC128)
-            if (_kernel == SlicedKernel::kSimd128)
-                encryptChunk<Vec128>(lt, sb, _rounds, ks, pt + i, tw + i,
-                                     take, ct + i);
             else
 #endif
                 encryptChunk<u64>(lt, sb, _rounds, ks, pt + i, tw + i,

@@ -18,22 +18,20 @@
  * and the batch-vs-scalar property test in tests/pac_vectors_test.cc
  * pin this down.
  *
- * Lane width: the portable kernel slices over u64 (64 blocks); when
- * the build detects GCC/Clang 128-bit vector support (compile-tested,
- * AOS_QARMA_HAVE_VEC128) a twin instantiation slices over a 2x64
- * vector word (128 blocks) and the compiler lowers it to SSE2/NEON;
- * with AVX-512 (AOS_QARMA_HAVE_VEC512) an 8x64 instantiation runs
+ * Lane width: the portable kernel slices over u64 (64 blocks); with
+ * AVX-512 (AOS_QARMA_HAVE_VEC512) an 8x64 vector instantiation runs
  * 512 blocks per chunk.
  * Batches smaller than kMinSlicedBatch fall back to the scalar cipher
  * (transposition would dominate); the tail of any batch does too.
  *
- * AOS_QARMA_KERNEL=auto|scalar|sliced|simd|simd128|simd512 overrides
- * dispatch ("simd" = widest vector kernel the build and host support;
- * the sanitizer stage of scripts/check.sh runs the suite under
- * "scalar" so both paths stay clean). A 512-lane instantiation is
- * compiled into its own AVX-512 translation unit when the toolchain
- * accepts the flags, and is selected only after a runtime
- * cpu-support check, so the binary stays runnable on older hosts.
+ * AOS_QARMA_KERNEL=auto|scalar|sliced|simd512 overrides dispatch
+ * ("auto" = the 512-lane kernel where the build and host support it,
+ * else the 64-lane one; the sanitizer stage of scripts/check.sh runs
+ * the suite under "scalar" so both paths stay clean). The 512-lane
+ * instantiation is compiled into its own AVX-512 translation unit when
+ * the toolchain accepts the flags, and is selected only after a
+ * runtime cpu-support check, so the binary stays runnable on older
+ * hosts.
  */
 
 #ifndef AOS_QARMA_QARMA_SLICED_HH
@@ -51,7 +49,6 @@ enum class SlicedKernel
     kAuto,     //!< Widest available (env AOS_QARMA_KERNEL can narrow).
     kScalar,   //!< Per-block Qarma64 (reference / sanitizer baseline).
     kSliced64, //!< 64-lane bit-sliced over u64 planes.
-    kSimd128,  //!< 128-lane bit-sliced over 2x64 vector planes.
     kSimd512,  //!< 512-lane bit-sliced over 8x64 vector planes (AVX-512).
 };
 
@@ -82,9 +79,6 @@ class QarmaSliced
 
     /** Lane count of the selected kernel (1 for scalar). */
     unsigned lanes() const;
-
-    /** True when the 128-lane vector kernel was compiled in. */
-    static bool simdCompiledIn();
 
     /**
      * True when the 512-lane kernel was compiled in (build detected

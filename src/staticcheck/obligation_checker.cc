@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/random.hh"
@@ -12,62 +11,15 @@ namespace aos::staticcheck {
 
 namespace {
 
-/**
- * Tracks which chunk instance is current per base while replaying a
- * lowered stream, mirroring the generation bookkeeping of the
- * DataflowEngine and AosBoundsElidePass. Membership in the elided set
- * persists past the chunk's free (the full stream's free quadruple and
- * any use-after-free access must still attribute to the instance) and
- * resets at the base's next allocation.
- */
-class InstanceCursor
+using analysis::dataflow::ElisionPlan;
+
+/** True when @p base's current instance is one the plan elides. */
+bool
+elidedAt(const ElisionPlan::Instances &instances, Addr base)
 {
-  public:
-    explicit InstanceCursor(const analysis::dataflow::ElisionPlan &plan)
-        : _plan(plan)
-    {
-    }
-
-    void
-    step(const ir::MicroOp &op)
-    {
-        if (op.chunkBase == 0)
-            return;
-        if (op.kind == ir::OpKind::kMallocMark) {
-            const u32 gen = ++_gen[op.chunkBase];
-            _open[op.chunkBase] = op.size;
-            if (_plan.elided(op.chunkBase, gen))
-                _elided.insert(op.chunkBase);
-            else
-                _elided.erase(op.chunkBase);
-        } else if (op.kind == ir::OpKind::kFreeMark) {
-            _open.erase(op.chunkBase);
-        }
-    }
-
-    bool elided(Addr base) const { return _elided.count(base) != 0; }
-
-    u32
-    gen(Addr base) const
-    {
-        auto it = _gen.find(base);
-        return it == _gen.end() ? 0 : it->second;
-    }
-
-    bool
-    inChunk(Addr base, Addr addr) const
-    {
-        auto it = _open.find(base);
-        return it != _open.end() && addr >= base &&
-               addr < base + it->second;
-    }
-
-  private:
-    const analysis::dataflow::ElisionPlan &_plan;
-    std::unordered_map<Addr, u32> _gen;
-    std::unordered_map<Addr, u64> _open;
-    std::unordered_set<Addr> _elided;
-};
+    const auto *inst = instances.find(base);
+    return inst && inst->payload.elided;
+}
 
 /** Chunk attribution of one op: explicit provenance, else raw VA. */
 Addr
@@ -94,8 +46,8 @@ class PointerFaultInjector
   public:
     PointerFaultInjector(const pa::PointerLayout &layout, u64 op_window,
                          const bounds::HashedBoundsTable &hbt,
-                         const InstanceCursor &cursor)
-        : _layout(layout), _hbt(hbt), _cursor(cursor)
+                         const ElisionPlan::Instances &instances)
+        : _layout(layout), _hbt(hbt), _instances(instances)
     {
         Rng rng(kFaultSeed ^ 0xfa017'1d3ec7ull);
         const u64 window = std::max<u64>(op_window, 1);
@@ -192,14 +144,17 @@ class PointerFaultInjector
         // Still inside the object: sub-object corruption is invisible
         // to every bounds mechanism.
         const Addr raw = _layout.strip(corrupt);
-        if (chunk_base && _cursor.inChunk(chunk_base, raw))
+        const auto *inst =
+            chunk_base ? _instances.find(chunk_base) : nullptr;
+        if (inst && inst->open && raw >= chunk_base &&
+            raw < chunk_base + inst->payload.size)
             return false;
         return !_hbt.check(_layout.pac(corrupt), raw, 0, nullptr);
     }
 
     const pa::PointerLayout &_layout;
     const bounds::HashedBoundsTable &_hbt;
-    const InstanceCursor &_cursor;
+    const ElisionPlan::Instances &_instances;
     std::vector<Fault> _schedule; //!< Sorted by trigger.
     size_t _next = 0;             //!< First schedule entry not yet armed.
     std::deque<Fault> _pending;   //!< Armed, waiting for a victim.
@@ -286,12 +241,12 @@ ObligationChecker::replayObligations(
     report.obligationsChecked = plan.obligations().size();
 
     StreamExecutor exec(_options.layout);
-    InstanceCursor cursor(plan);
+    ElisionPlan::Instances instances;
     std::unordered_set<Addr> violated_bases;
     u64 violated = 0;
 
     for (const ir::MicroOp &op : full) {
-        cursor.step(op);
+        plan.track(instances, op);
         const u64 before = exec.stats().detections();
         exec.step(op);
         if (exec.stats().detections() == before)
@@ -300,12 +255,13 @@ ObligationChecker::replayObligations(
         // attributes to an elided instance, the check the pass removed
         // was the one that fired: that obligation's proof is wrong.
         const Addr base = attributionBase(op, _options.layout);
-        if (cursor.elided(base) && violated_bases.insert(base).second) {
+        if (elidedAt(instances, base) &&
+            violated_bases.insert(base).second) {
             ++violated;
             if (report.failures.size() < 16) {
                 std::ostringstream os;
                 os << "obligation violated: chunk 0x" << std::hex << base
-                   << std::dec << " gen " << cursor.gen(base)
+                   << std::dec << " gen " << instances.find(base)->gen
                    << " raised a detection (" << ir::opKindName(op.kind)
                    << ") despite being elided";
                 report.failures.push_back(os.str());
@@ -364,15 +320,15 @@ ObligationChecker::replayFaults(const std::vector<ir::MicroOp> &full,
     auto replay = [&](const std::vector<ir::MicroOp> &stream,
                       bool use_full_index) {
         StreamExecutor exec(_options.layout);
-        InstanceCursor cursor(plan);
+        ElisionPlan::Instances instances;
         PointerFaultInjector injector(_options.layout, shared.size(),
-                                      exec.hbt(), cursor);
+                                      exec.hbt(), instances);
 
         FaultRun run;
         size_t s = 0;
         for (size_t i = 0; i < stream.size(); ++i) {
             const ir::MicroOp &op = stream[i];
-            cursor.step(op);
+            plan.track(instances, op);
             ir::MicroOp mutated = op;
             const size_t here =
                 s < shared.size()
@@ -383,7 +339,8 @@ ObligationChecker::replayFaults(const std::vector<ir::MicroOp> &full,
                 ++s;
             }
             if (mutated.addr != op.addr &&
-                cursor.elided(attributionBase(op, _options.layout))) {
+                elidedAt(instances,
+                         attributionBase(op, _options.layout))) {
                 ++run.victimsInElided;
             }
             exec.step(mutated);

@@ -29,14 +29,7 @@ StreamExecutor::step(const ir::MicroOp &op)
         ++_stats.bndstrs;
         const u64 pac = _layout.pac(op.addr);
         const Addr raw = _layout.strip(op.addr);
-        auto way = _hbt.insert(pac, bounds::compress(raw, op.size));
-        while (!way) {
-            // bndstr exception: the OS resizes and the store retries.
-            if (!_hbt.resizing())
-                _hbt.beginResize();
-            _hbt.finishResize();
-            way = _hbt.insert(pac, bounds::compress(raw, op.size));
-        }
+        _hbt.insertOrGrow(pac, bounds::compress(raw, op.size));
         break;
       }
 

@@ -33,8 +33,8 @@ StreamVerifier::report(RuleId rule, Addr site, std::string message)
         ++_distinctSites[rule];
 
     u64 &stored = _storedSites[rule];
-    if (!fresh || stored >= _options.maxPerRuleSites ||
-        _diags.size() >= _options.maxDiagnostics) {
+    if (!fresh || stored >= kMaxPerRuleSites ||
+        _diags.size() >= kMaxDiagnostics) {
         ++_suppressed[rule];
         ++_totalSuppressed;
         return;
@@ -55,7 +55,7 @@ Addr
 StreamVerifier::elidedBaseOf(const ir::MicroOp &op) const
 {
     using ir::OpKind;
-    if (_options.elisionPlan == nullptr || _elidedOpen.empty())
+    if (_options.elisionPlan == nullptr)
         return 0;
     Addr base = 0;
     switch (op.kind) {
@@ -77,23 +77,10 @@ StreamVerifier::elidedBaseOf(const ir::MicroOp &op) const
       default:
         return 0;
     }
-    return base != 0 && _elidedOpen.count(base) != 0 ? base : 0;
-}
-
-void
-StreamVerifier::trackElision(const ir::MicroOp &op)
-{
-    // Mirror AosBoundsElidePass: an instance's membership starts at its
-    // kMallocMark and persists through the free event until the base is
-    // reallocated, so the whole free quadruple of an elided chunk is
-    // still attributed to it.
-    if (op.kind != ir::OpKind::kMallocMark || op.chunkBase == 0)
-        return;
-    const u32 gen = ++_gen[op.chunkBase];
-    if (_options.elisionPlan->elided(op.chunkBase, gen))
-        _elidedOpen.insert(op.chunkBase);
-    else
-        _elidedOpen.erase(op.chunkBase);
+    if (base == 0)
+        return 0;
+    const auto *inst = _instances.find(base);
+    return inst && inst->payload.elided ? base : 0;
 }
 
 void
@@ -185,11 +172,8 @@ StreamVerifier::checkElided(const ir::MicroOp &op)
                        " still carries signed address " + hex(op.addr));
         }
         const Addr raw = layout.strip(op.addr);
-        auto it = _gen.find(base);
         const analysis::dataflow::ProofObligation *ob =
-            it == _gen.end()
-                ? nullptr
-                : _options.elisionPlan->find(base, it->second);
+            _options.elisionPlan->find(base, _instances.find(base)->gen);
         if (ob == nullptr || raw < base || raw - base + op.size > ob->size) {
             report(RuleId::kElidedAccessOutOfPlan, base,
                    std::string(ir::opKindName(op.kind)) + " at " + hex(raw) +
@@ -309,8 +293,8 @@ StreamVerifier::checkLowering(const ir::MicroOp &op)
       case OpKind::kMallocMark:
       case OpKind::kFreeMark: {
         flushLowering();
-        if (_options.elisionPlan != nullptr &&
-            _elidedOpen.count(op.chunkBase) != 0) {
+        const auto *inst = _instances.find(op.chunkBase);
+        if (inst && inst->payload.elided) {
             // Elided instance: the Fig. 7 sequence is intentionally
             // absent, so no lowering expectation is created.
             break;
@@ -362,23 +346,20 @@ StreamVerifier::observe(const ir::MicroOp &op)
 {
     ++_opIndex;
 
-    if (_options.requireLoweredIntrinsics &&
-        (op.kind == ir::OpKind::kAosMallocIntr ||
-         op.kind == ir::OpKind::kAosFreeIntr)) {
+    if (op.kind == ir::OpKind::kAosMallocIntr ||
+        op.kind == ir::OpKind::kAosFreeIntr) {
         report(RuleId::kIntrinsicSurvived, op.chunkBase,
                std::string(ir::opKindName(op.kind)) +
                    " survived the backend pass");
     }
 
     if (_options.elisionPlan != nullptr)
-        trackElision(op);
+        _options.elisionPlan->track(_instances, op);
 
-    if (_options.checkFields)
-        checkFields(op);
+    checkFields(op);
     if (_options.elisionPlan != nullptr)
         checkElided(op);
-    if (_options.checkDataflow)
-        checkDataflow(op);
+    checkDataflow(op);
     if (_options.requireAosLowering)
         checkLowering(op);
 
@@ -404,17 +385,6 @@ StreamVerifier::finish()
             "suppressed " + std::to_string(count) +
                 " further finding(s) across " +
                 std::to_string(_distinctSites[rule]) + " distinct site(s)"});
-    }
-}
-
-void
-StreamVerifier::addStats(StatSet &set, const std::string &prefix) const
-{
-    set.scalar(prefix + "total") = static_cast<double>(_totalDiags);
-    set.scalar(prefix + "suppressed") = static_cast<double>(_totalSuppressed);
-    for (const auto &[rule, count] : _ruleCounts) {
-        set.scalar(prefix + ruleId(rule) + "_" + ruleName(rule)) =
-            static_cast<double>(count);
     }
 }
 

@@ -30,10 +30,11 @@
  * Violations are collected as structured diagnostics (see
  * diagnostics.hh), never asserts, so tests can probe individual rules
  * and the system harness can export per-rule counters. Repeated
- * findings of one (rule, site) pair are deduplicated and every rule
- * stores at most maxPerRuleSites distinct sites; suppressed repeats
- * are tallied and surface as one per-rule summary line at finish(), so
- * a pathological stream cannot flood O(ops) diagnostics.
+ * findings of one (rule, site) pair are deduplicated, every rule
+ * stores at most kMaxPerRuleSites distinct sites and the verifier at
+ * most kMaxDiagnostics in all; suppressed repeats are tallied and
+ * surface as one per-rule summary line at finish(), so a pathological
+ * stream cannot flood O(ops) diagnostics.
  */
 
 #ifndef AOS_STATICCHECK_STREAM_VERIFIER_HH
@@ -47,7 +48,6 @@
 #include <vector>
 
 #include "analysis/dataflow/elision_plan.hh"
-#include "common/stats.hh"
 #include "ir/micro_op.hh"
 #include "pa/pointer_layout.hh"
 #include "staticcheck/diagnostics.hh"
@@ -61,12 +61,6 @@ struct VerifierOptions
     pa::PointerLayout layout = pa::PointerLayout();
 
     /**
-     * The stream is post-backend: kAosMallocIntr/kAosFreeIntr must not
-     * appear (SC01). Disable when verifying an opt-pass-only stream.
-     */
-    bool requireLoweredIntrinsics = true;
-
-    /**
      * The stream is AOS-instrumented: every kMallocMark must be
      * followed by its pacma+bndstr and every kFreeMark by its
      * bndclr+xpacm+pacma before the next allocation event (SC02/SC03).
@@ -75,12 +69,6 @@ struct VerifierOptions
      */
     bool requireAosLowering = false;
 
-    /** Enforce the signed-pointer dataflow rules (SC04..SC08, SC14). */
-    bool checkDataflow = true;
-
-    /** Enforce per-op field sanity (SC09..SC13). */
-    bool checkFields = true;
-
     /**
      * Bounds-elision plan the stream was rewritten under; not owned.
      * When set, instances the plan elides are exempt from SC02/SC03
@@ -88,19 +76,19 @@ struct VerifierOptions
      * contracts are enforced instead.
      */
     const analysis::dataflow::ElisionPlan *elisionPlan = nullptr;
-
-    /** Stop storing diagnostics past this many (counters keep going). */
-    size_t maxDiagnostics = 1024;
-
-    /** Distinct sites stored per rule; further sites are suppressed
-     *  into the per-rule summary line. */
-    size_t maxPerRuleSites = 8;
 };
 
 /** Single-pass verifier; feed ops with observe(), then call finish(). */
 class StreamVerifier
 {
   public:
+    /** Distinct sites stored per rule; further sites are suppressed
+     *  into the per-rule summary line. */
+    static constexpr size_t kMaxPerRuleSites = 8;
+
+    /** Diagnostics stored in all (the counters keep going). */
+    static constexpr size_t kMaxDiagnostics = 1024;
+
     explicit StreamVerifier(VerifierOptions options = {});
 
     /** Check one op (call in stream order). */
@@ -110,7 +98,7 @@ class StreamVerifier
      *  per-rule suppressed-count summary lines. */
     void finish();
 
-    /** All findings so far (capped at options.maxDiagnostics). */
+    /** All findings so far (capped at kMaxDiagnostics). */
     const std::vector<Diagnostic> &diagnostics() const { return _diags; }
 
     /** True iff no rule fired. */
@@ -125,14 +113,16 @@ class StreamVerifier
     /** Ops observed so far. */
     u64 opsObserved() const { return _opIndex; }
 
+    /** The chunk instances seen so far (tracked only under an
+     *  elision plan). */
+    const analysis::dataflow::ElisionPlan::Instances &
+    instances() const
+    {
+        return _instances;
+    }
+
     /** Findings per rule (only rules that fired appear). */
     const std::map<RuleId, u64> &ruleCounts() const { return _ruleCounts; }
-
-    /**
-     * Export per-rule counters into @p set as
-     * "<prefix><SCxx>_<rule-name>" scalars plus "<prefix>total".
-     */
-    void addStats(StatSet &set, const std::string &prefix = "verify_") const;
 
     /** Drain @p stream through a fresh verifier; return its findings. */
     static std::vector<Diagnostic> verify(ir::InstStream &stream,
@@ -165,9 +155,6 @@ class StreamVerifier
     void checkLowering(const ir::MicroOp &op);
     void checkElided(const ir::MicroOp &op);
 
-    /** Advance the elision-plan generation state (kMallocMark). */
-    void trackElision(const ir::MicroOp &op);
-
     /** Chunk the op attributes to under the elision plan, or 0. */
     Addr elidedBaseOf(const ir::MicroOp &op) const;
 
@@ -188,10 +175,9 @@ class StreamVerifier
     // chunks whose bounds are currently live (bndstr without bndclr).
     std::unordered_set<Addr> _liveBounds;
 
-    // Elision-plan state: allocation ordinal per base and the bases
-    // whose current instance the plan elides (mirrors the pass).
-    std::unordered_map<Addr, u32> _gen;
-    std::unordered_set<Addr> _elidedOpen;
+    // Per base, the current chunk instance and the plan's verdict on
+    // it (tracked only under an elision plan).
+    analysis::dataflow::ElisionPlan::Instances _instances;
 
     // (rule, site) -> occurrences; drives dedup and the summaries.
     std::map<std::pair<RuleId, Addr>, u64> _siteCounts;

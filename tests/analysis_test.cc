@@ -94,11 +94,7 @@ TEST(PacAnalysis, PredictionMatchesRealTableBehaviour)
     Addr next = 0x20000000;
     for (u64 i = 0; i < kLive; ++i) {
         const u64 pac = rng.below(u64{1} << kPacBits);
-        while (!hbt.insert(pac, bounds::compress(next, 64))) {
-            if (!hbt.resizing())
-                hbt.beginResize();
-            hbt.finishResize();
-        }
+        hbt.insertOrGrow(pac, bounds::compress(next, 64));
         next += 0x100;
     }
     EXPECT_EQ(hbt.ways(), predicted);

@@ -3,17 +3,20 @@
  * Tests for the dataflow static-analysis stack (DESIGN.md §11): the
  * abstract domains in isolation, the forward engine's chunk summaries,
  * bounds-elision planning, the AosBoundsElidePass rewrite, and the
- * ObligationChecker's dynamic validation of the emitted proofs. Also
- * pins the opKindName table exhaustively, since the diagnostics of
- * every layer above lean on it.
+ * ObligationChecker's dynamic validation of the emitted proofs, and
+ * the one chunk-instance rule all of them share. Also pins the
+ * opKindName table exhaustively, since the diagnostics of every layer
+ * above lean on it.
  */
 
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/dataflow/chunk_instances.hh"
 #include "analysis/dataflow/domains.hh"
 #include "analysis/dataflow/elision_plan.hh"
 #include "analysis/dataflow/engine.hh"
@@ -25,6 +28,7 @@
 #include "staticcheck/obligation_checker.hh"
 #include "staticcheck/stream_executor.hh"
 #include "staticcheck/stream_verifier.hh"
+#include "workloads/synthetic_workload.hh"
 
 namespace aos::analysis::dataflow {
 namespace {
@@ -180,6 +184,226 @@ TEST(OffsetRange, RepeatedGrowthWidensToTheLimit)
     for (unsigned i = 0; i < 4 * OffsetRange::kWidenThreshold; ++i)
         stable.observe(8, 8, 64);
     EXPECT_FALSE(stable.widened());
+}
+
+// --- ChunkInstances: the one chunk-instance rule. ---
+
+TEST(ChunkInstances, ReuseDoubleFreeAndUseAfterFree)
+{
+    ChunkInstances<int> instances;
+    bool was_open = true;
+
+    // A never-allocated base has no instance, and freeing it finds
+    // none (an invalid free).
+    EXPECT_EQ(instances.find(kChunkA), nullptr);
+    EXPECT_EQ(instances.onFree(kChunkA, &was_open), nullptr);
+    EXPECT_FALSE(was_open);
+
+    auto &first = instances.onMalloc(kChunkA, &was_open);
+    EXPECT_FALSE(was_open);
+    EXPECT_EQ(first.gen, 1u);
+    EXPECT_TRUE(first.open);
+    first.payload = 7;
+
+    // Free closes the instance; a use after free still finds it.
+    ASSERT_NE(instances.onFree(kChunkA, &was_open), nullptr);
+    EXPECT_TRUE(was_open);
+    const auto *uaf = instances.find(kChunkA);
+    ASSERT_NE(uaf, nullptr);
+    EXPECT_EQ(uaf->gen, 1u);
+    EXPECT_FALSE(uaf->open);
+    EXPECT_EQ(uaf->payload, 7);
+
+    // A double free finds the same, already closed instance.
+    const auto *twice = instances.onFree(kChunkA, &was_open);
+    ASSERT_NE(twice, nullptr);
+    EXPECT_FALSE(was_open);
+    EXPECT_EQ(twice->gen, 1u);
+
+    // Reuse opens the next generation; the old payload waits for the
+    // caller to replace it.
+    auto &second = instances.onMalloc(kChunkA, &was_open);
+    EXPECT_FALSE(was_open);
+    EXPECT_EQ(second.gen, 2u);
+    EXPECT_TRUE(second.open);
+    EXPECT_EQ(second.payload, 7);
+
+    // A malloc at a still-open base reports the stale instance.
+    EXPECT_EQ(instances.onMalloc(kChunkA, &was_open).gen, 3u);
+    EXPECT_TRUE(was_open);
+    EXPECT_EQ(instances.find(kChunkB), nullptr);
+}
+
+TEST(ChunkInstances, EngineAndPlanReadersApplyTheSameRule)
+{
+    // Per op: the instance the base names afterwards (gen 0 = none).
+    struct Step
+    {
+        MicroOp op;
+        Addr base;
+        u32 gen;
+        bool open;
+    };
+    const std::vector<Step> steps = {
+        {op(OpKind::kMallocMark, 0, kChunkA, 64), kChunkA, 1, true},
+        {op(OpKind::kLoad, kChunkA + 8, kChunkA, 8), kChunkA, 1, true},
+        {op(OpKind::kFreeMark, 0, kChunkA), kChunkA, 1, false},
+        // Use after free and double free stay with generation 1.
+        {op(OpKind::kLoad, kChunkA + 8, kChunkA, 8), kChunkA, 1, false},
+        {op(OpKind::kFreeMark, 0, kChunkA), kChunkA, 1, false},
+        // Reuse; the intrinsic twin of the marker opens nothing.
+        {op(OpKind::kMallocMark, 0, kChunkA, 32), kChunkA, 2, true},
+        {op(OpKind::kAosMallocIntr, 0, kChunkA, 32), kChunkA, 2, true},
+        {op(OpKind::kFreeMark, 0, kChunkB), kChunkB, 0, false},
+        {op(OpKind::kMallocMark, 0, kChunkB, 16), kChunkB, 1, true},
+    };
+    std::vector<MicroOp> stream;
+    for (const Step &step : steps)
+        stream.push_back(step.op);
+
+    DataflowEngine engine(kLayout);
+    ir::VectorStream source(stream);
+    engine.run(source);
+    ASSERT_EQ(engine.summaries().size(), 3u);
+    const ChunkSummary &a1 = engine.summaries()[0];
+    EXPECT_EQ(a1.id(), (ChunkId{kChunkA, 1}));
+    EXPECT_EQ(a1.freeCount, 2u);
+    EXPECT_EQ(a1.accessesAfterFree, 1u);
+    EXPECT_EQ(engine.summaries()[1].id(), (ChunkId{kChunkA, 2}));
+    EXPECT_EQ(engine.summaries()[2].id(), (ChunkId{kChunkB, 1}));
+    EXPECT_EQ(engine.invalidFrees(), 1u);
+
+    // The verifier's and the checker's reader follows the same rule
+    // and tags each instance with the plan's verdict.
+    const ElisionPlan plan = planBoundsElision(engine);
+    ElisionPlan::Instances instances;
+    for (const Step &step : steps) {
+        plan.track(instances, step.op);
+        SCOPED_TRACE(ir::opKindName(step.op.kind));
+        const auto *inst = instances.find(step.base);
+        if (step.gen == 0) {
+            EXPECT_EQ(inst, nullptr);
+            continue;
+        }
+        ASSERT_NE(inst, nullptr);
+        EXPECT_EQ(inst->gen, step.gen);
+        EXPECT_EQ(inst->open, step.open);
+        EXPECT_EQ(inst->payload.elided, plan.elided(step.base, step.gen));
+    }
+    EXPECT_FALSE(plan.elided(kChunkA, 1)); // temporally unsafe
+    EXPECT_TRUE(instances.find(kChunkB)->payload.elided);
+    EXPECT_EQ(instances.find(kChunkB)->payload.size, 16u);
+}
+
+/**
+ * Hands its source on one op per batch and shows each op to a
+ * callback, so a pass pulling from it has consumed exactly the ops up
+ * to the one it emitted last.
+ */
+class OpByOpStream : public ir::InstStream
+{
+  public:
+    OpByOpStream(ir::InstStream *source,
+                 std::function<void(const MicroOp &)> on_op)
+        : _source(source), _onOp(std::move(on_op))
+    {
+    }
+
+    bool
+    next(MicroOp &op) override
+    {
+        if (!_source->next(op))
+            return false;
+        _onOp(op);
+        return true;
+    }
+
+    size_t
+    nextBatch(MicroOp *out, size_t max) override
+    {
+        return max != 0 && next(*out) ? 1 : 0;
+    }
+
+  private:
+    ir::InstStream *_source;
+    std::function<void(const MicroOp &)> _onOp;
+};
+
+TEST(ChunkInstances, EveryStageSeesTheEnginesInstancesOnOmnetpp)
+{
+    // omnetpp reuses bases heavily across its ~700k warm-up chunks.
+    // The engine summarizes the source stream; the pass rewrites the
+    // PA+AOS lowering of the same stream; the verifier reads the pass's
+    // output; the checker replays both streams. At every kMallocMark
+    // each must name the instance the engine's next summary names.
+    const auto &profile = workloads::profileByName("omnetpp");
+    constexpr u64 kWindow = 2'000;
+
+    DataflowEngine engine(kLayout);
+    workloads::SyntheticWorkload analysis_copy(profile, kWindow);
+    engine.run(analysis_copy);
+    const ElisionPlan plan = planBoundsElision(engine);
+    const std::vector<ChunkSummary> &sums = engine.summaries();
+    ASSERT_GT(sums.size(), 100'000u);
+    ASSERT_GT(plan.stats().chunksElided, 0u);
+
+    pa::PaContext pa(kLayout);
+    workloads::SyntheticWorkload source(profile, kWindow);
+    compiler::AosOptPass opt(&source);
+    compiler::AosBackendPass backend(&opt, &pa);
+    compiler::PaPass papass(&backend, compiler::PaMode::kPaAos);
+
+    // The checker's replay of the full stream: the pass's input.
+    ElisionPlan::Instances full_replay;
+    size_t full_marks = 0;
+    u64 mismatches = 0;
+    auto expect_instance = [&](const char *stage, size_t mark, Addr base,
+                               const auto &instances) {
+        const auto *inst = instances.find(base);
+        const u32 gen = inst ? inst->gen : 0;
+        if (mark < sums.size() && sums[mark].id() == ChunkId{base, gen})
+            return;
+        if (++mismatches <= 4)
+            ADD_FAILURE() << stage << " at malloc " << mark << ": base 0x"
+                          << std::hex << base << std::dec << " gen "
+                          << gen;
+    };
+    OpByOpStream full(&papass, [&](const MicroOp &op) {
+        plan.track(full_replay, op);
+        if (op.kind == OpKind::kMallocMark && op.chunkBase != 0) {
+            expect_instance("checker (full)", full_marks++, op.chunkBase,
+                            full_replay);
+        }
+    });
+    compiler::AosBoundsElidePass pass(&full, kLayout, &plan);
+
+    staticcheck::VerifierOptions options;
+    options.layout = kLayout;
+    options.requireAosLowering = true;
+    options.elisionPlan = &plan;
+    staticcheck::StreamVerifier verifier(options);
+    ElisionPlan::Instances elided_replay;
+
+    size_t marks = 0;
+    MicroOp op;
+    while (pass.next(op)) {
+        verifier.observe(op);
+        plan.track(elided_replay, op);
+        if (op.kind != OpKind::kMallocMark || op.chunkBase == 0)
+            continue;
+        const Addr base = op.chunkBase;
+        expect_instance("pass", marks, base, pass.instances());
+        expect_instance("verifier", marks, base, verifier.instances());
+        expect_instance("checker (elided)", marks, base, elided_replay);
+        ++marks;
+    }
+    verifier.finish();
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(marks, sums.size());
+    EXPECT_EQ(full_marks, sums.size());
+    EXPECT_TRUE(verifier.clean())
+        << staticcheck::toString(verifier.diagnostics());
+    EXPECT_EQ(pass.stats().bndstrElided, plan.stats().chunksElided);
 }
 
 // --- DataflowEngine: chunk summaries over a source stream. ---

@@ -51,6 +51,24 @@ TEST(HbtResize, OverflowInsertSucceedsDuringResize)
     EXPECT_TRUE(hbt.check(7, 0x20000800 + 10, 0, nullptr).has_value());
 }
 
+TEST(HbtResize, InsertOrGrowResizesOnlyAFullRow)
+{
+    HashedBoundsTable hbt(kBase, 8, 1);
+    u64 grows = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        EXPECT_EQ(hbt.insertOrGrow(7, rec(i), &grows), 0u);
+    EXPECT_EQ(grows, 0u);
+    // The ninth record overflows the one-way row: one grow, completed
+    // at once, and the record lands in the new way.
+    EXPECT_EQ(hbt.insertOrGrow(7, rec(8), &grows), 1u);
+    EXPECT_EQ(grows, 1u);
+    EXPECT_EQ(hbt.stats().resizes, 1u);
+    EXPECT_FALSE(hbt.resizing());
+    EXPECT_EQ(hbt.primaryAssoc(), 2u);
+    EXPECT_TRUE(hbt.check(7, 0x20000800 + 10, 0, nullptr).has_value());
+    EXPECT_EQ(hbt.rowOccupancy(7), 9u);
+}
+
 TEST(HbtResize, RoutingDuringMigration)
 {
     HashedBoundsTable hbt(kBase, 8, 1);

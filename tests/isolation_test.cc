@@ -111,7 +111,7 @@ TEST(Isolation, StatsDumpIsComplete)
     const RunResult r = system.run();
 
     std::ostringstream os;
-    r.dump(os);
+    r.toStatSet().dump(os);
     const std::string out = os.str();
     for (const char *stat :
          {"cycles", "ipc", "mcu_checked_ops", "bwb_hit_rate",

@@ -380,11 +380,7 @@ TEST_P(McuConfigSweep, CorrectnessHoldsUnderEveryConfiguration)
     // 16 objects sharing one PAC plus 16 with distinct PACs; resize
     // on row overflow exactly as the OS would (a 1-way row holds 8).
     auto insert = [&](u64 pac, Addr base) {
-        while (!hbt.insert(pac, bounds::compress(base, 64))) {
-            if (!hbt.resizing())
-                hbt.beginResize();
-            hbt.finishResize();
-        }
+        hbt.insertOrGrow(pac, bounds::compress(base, 64));
     };
     for (int i = 0; i < 16; ++i)
         insert(5, 0x20000000 + i * 0x100);

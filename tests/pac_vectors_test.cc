@@ -169,8 +169,6 @@ availableKernels()
     using qarma::SlicedKernel;
     std::vector<SlicedKernel> kernels = {SlicedKernel::kScalar,
                                          SlicedKernel::kSliced64};
-    if (QarmaSliced::simdCompiledIn())
-        kernels.push_back(SlicedKernel::kSimd128);
     if (QarmaSliced::simd512Available())
         kernels.push_back(SlicedKernel::kSimd512);
     return kernels;

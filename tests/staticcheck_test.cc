@@ -341,8 +341,13 @@ TEST(StreamVerifier, RepeatedSitesAreDedupedButStillCounted)
             summarized = true;
     EXPECT_TRUE(summarized) << toString(verifier.diagnostics());
 
-    StatSet set("verifier");
-    verifier.addStats(set);
+    // A verified run exports the counters under verify_* names.
+    core::RunResult run;
+    run.verified = true;
+    run.verifyDiagnostics = verifier.totalDiagnostics();
+    run.verifySuppressed = verifier.suppressedDiagnostics();
+    run.verifyRuleCounts = verifier.ruleCounts();
+    const StatSet set = run.toStatSet();
     EXPECT_EQ(set.value("verify_total"), 20.0);
     EXPECT_EQ(set.value("verify_suppressed"), 18.0);
     EXPECT_EQ(set.value("verify_SC10_mem-missing-addr"), 10.0);
@@ -350,11 +355,11 @@ TEST(StreamVerifier, RepeatedSitesAreDedupedButStillCounted)
 
 TEST(StreamVerifier, PerRuleSiteCapBoundsTheFlood)
 {
-    VerifierOptions options;
-    options.maxPerRuleSites = 3;
-    StreamVerifier verifier(options);
-    // 16 distinct sites firing SC11 (distinct addrs, missing size).
-    for (int i = 0; i < 16; ++i)
+    constexpr size_t kCap = StreamVerifier::kMaxPerRuleSites;
+    constexpr size_t kSites = 2 * kCap;
+    StreamVerifier verifier{VerifierOptions{}};
+    // kSites distinct sites firing SC11 (distinct addrs, missing size).
+    for (size_t i = 0; i < kSites; ++i)
         verifier.observe(op(OpKind::kLoad, 0x00601000 + 8 * i, 0, 0));
     verifier.finish();
 
@@ -363,9 +368,9 @@ TEST(StreamVerifier, PerRuleSiteCapBoundsTheFlood)
         if (d.rule == RuleId::kMemMissingSize &&
             d.message.find("suppressed") == std::string::npos)
             ++stored;
-    EXPECT_EQ(stored, 3u);
-    EXPECT_EQ(verifier.totalDiagnostics(), 16u);
-    EXPECT_EQ(verifier.suppressedDiagnostics(), 13u);
+    EXPECT_EQ(stored, kCap);
+    EXPECT_EQ(verifier.totalDiagnostics(), kSites);
+    EXPECT_EQ(verifier.suppressedDiagnostics(), kSites - kCap);
 }
 
 // --- Corrupted real-pipeline output is flagged. ---
