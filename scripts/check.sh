@@ -11,8 +11,9 @@
 #   AOS_CHECK_SKIP_SANITIZE=1 scripts/check.sh   # skip ASan and TSan
 #
 # The tier-1 stage runs every test; the sanitizer stage runs the fast
-# set (`-LE slow`) — the full suite under ASan is a CI-budget call,
-# and every slow test still runs uninstrumented in stage 2.
+# set (`-LE slow`) plus the MCU differential fuzz — the full suite
+# under ASan is a CI-budget call, and every slow test still runs
+# uninstrumented in stage 2.
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -40,6 +41,11 @@ if [ "${AOS_CHECK_SKIP_SANITIZE:-0}" != "1" ]; then
     # kernel forced so both dispatch paths stay sanitizer-clean.
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/pac_vectors_test
     AOS_QARMA_KERNEL=scalar ./build-sanitize/tests/qarma_test
+    # The MCU differential fuzz is labelled slow, so the run above
+    # skips it. It drives the MCQ's armed-slot walk (mask rotations),
+    # the commit cursor's ring arithmetic and the BWB's hash index
+    # through every FSM path: exactly what UBSan checks.
+    ./build-sanitize/tests/mcu_differential_test
 else
     echo "== [3/7] sanitizer pass skipped (AOS_CHECK_SKIP_SANITIZE=1) =="
 fi

@@ -1,5 +1,8 @@
 #include "bounds/bounds_way_buffer.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 
@@ -9,6 +12,10 @@ BoundsWayBuffer::BoundsWayBuffer(unsigned entries) : _capacity(entries)
 {
     fatal_if(entries == 0, "BWB needs at least one entry");
     _entries.resize(entries);
+    // More buckets than entries, so hash chains stay short.
+    const unsigned log2_buckets = std::bit_width(entries);
+    _buckets.assign(size_t{1} << log2_buckets, kNil);
+    _bucketShift = 32 - log2_buckets;
 }
 
 u32
@@ -30,19 +37,55 @@ BoundsWayBuffer::tagFor(Addr addr, u64 ahc, u64 pac)
                             (ahc & 0x3));
 }
 
+u32
+BoundsWayBuffer::find(u32 tag) const
+{
+    u32 idx = _buckets[bucketOf(tag)];
+    while (idx != kNil && _entries[idx].tag != tag)
+        idx = _entries[idx].chain;
+    return idx;
+}
+
+void
+BoundsWayBuffer::unlinkRecency(u32 idx)
+{
+    Entry &entry = _entries[idx];
+    (entry.newer == kNil ? _front : _entries[entry.newer].older) =
+        entry.older;
+    (entry.older == kNil ? _back : _entries[entry.older].newer) =
+        entry.newer;
+}
+
+void
+BoundsWayBuffer::pushFront(u32 idx)
+{
+    Entry &entry = _entries[idx];
+    entry.newer = kNil;
+    entry.older = _front;
+    (_front == kNil ? _back : _entries[_front].newer) = idx;
+    _front = idx;
+}
+
+void
+BoundsWayBuffer::touch(u32 idx)
+{
+    if (idx == _front)
+        return;
+    unlinkRecency(idx);
+    pushFront(idx);
+}
+
 unsigned
 BoundsWayBuffer::lookup(Addr addr, u64 ahc, u64 pac)
 {
-    const u32 tag = tagFor(addr, ahc, pac);
-    for (auto &entry : _entries) {
-        if (entry.valid && entry.tag == tag) {
-            ++_stats.hits;
-            entry.lru = ++_stamp;
-            return entry.way;
-        }
+    const u32 idx = find(tagFor(addr, ahc, pac));
+    if (idx == kNil) {
+        ++_stats.misses;
+        return 0;
     }
-    ++_stats.misses;
-    return 0;
+    ++_stats.hits;
+    touch(idx);
+    return _entries[idx].way;
 }
 
 void
@@ -50,31 +93,38 @@ BoundsWayBuffer::update(Addr addr, u64 ahc, u64 pac, unsigned way)
 {
     const u32 tag = tagFor(addr, ahc, pac);
     ++_stats.updates;
-    Entry *victim = &_entries[0];
-    for (auto &entry : _entries) {
-        if (entry.valid && entry.tag == tag) {
-            entry.way = way;
-            entry.lru = ++_stamp;
-            return;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-            break;
-        }
-        if (entry.lru < victim->lru)
-            victim = &entry;
+    u32 idx = find(tag);
+    if (idx != kNil) {
+        _entries[idx].way = way;
+        touch(idx);
+        return;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->way = way;
-    victim->lru = ++_stamp;
+    if (_used < _capacity) {
+        idx = _used++;
+    } else {
+        // Evict the least recently used entry from its hash chain.
+        idx = _back;
+        unlinkRecency(idx);
+        u32 *link = &_buckets[bucketOf(_entries[idx].tag)];
+        while (*link != idx)
+            link = &_entries[*link].chain;
+        *link = _entries[idx].chain;
+    }
+    Entry &entry = _entries[idx];
+    entry.tag = tag;
+    entry.way = way;
+    u32 &head = _buckets[bucketOf(tag)];
+    entry.chain = head;
+    head = idx;
+    pushFront(idx);
 }
 
 void
 BoundsWayBuffer::invalidate()
 {
-    for (auto &entry : _entries)
-        entry = Entry();
+    _used = 0;
+    std::fill(_buckets.begin(), _buckets.end(), kNil);
+    _front = _back = kNil;
 }
 
 } // namespace aos::bounds

@@ -13,6 +13,12 @@
  *   AHC = 1 (<=64 B object):  PAC[15:0] | Addr[20:7]  | AHC[1:0]
  *   AHC = 2 (<=256 B object): PAC[15:0] | Addr[23:10] | AHC[1:0]
  *   AHC = 3 (larger):         PAC[15:0] | Addr[25:12] | AHC[1:0]
+ *
+ * Lookups and updates cost O(1): a chained hash index maps a tag to its
+ * entry, and an intrusive doubly-linked list keeps the entries in
+ * recency order (most recent at the front). The list order is the
+ * order of the per-access LRU stamps a linear-scan buffer would keep,
+ * so the victim of a full buffer is the same entry.
  */
 
 #ifndef AOS_BOUNDS_BOUNDS_WAY_BUFFER_HH
@@ -64,17 +70,40 @@ class BoundsWayBuffer
     unsigned capacity() const { return _capacity; }
 
   private:
+    /** Null link in the hash chains and the recency list. */
+    static constexpr u32 kNil = ~u32{0};
+
     struct Entry
     {
-        bool valid = false;
         u32 tag = 0;
         unsigned way = 0;
-        u64 lru = 0;
+        u32 chain = kNil; //!< Next entry in the same hash bucket.
+        u32 newer = kNil; //!< Recency list, towards the front.
+        u32 older = kNil; //!< Recency list, towards the back.
     };
 
+    /** Entry index holding @p tag, or kNil. */
+    u32 find(u32 tag) const;
+    /** Index into _buckets of @p tag's hash chain. */
+    u32
+    bucketOf(u32 tag) const
+    {
+        // Fibonacci hashing: the PAC sits in the tag's top bits.
+        return (tag * 0x9e3779b1u) >> _bucketShift;
+    }
+    /** Move entry @p idx to the front of the recency list. */
+    void touch(u32 idx);
+    void unlinkRecency(u32 idx);
+    void pushFront(u32 idx);
+
     unsigned _capacity;
+    /** Entries [0, _used) are valid; filled in index order. */
     std::vector<Entry> _entries;
-    u64 _stamp = 0;
+    u32 _used = 0;
+    std::vector<u32> _buckets; //!< Power-of-two chain heads.
+    unsigned _bucketShift = 0; //!< 32 - log2(bucket count).
+    u32 _front = kNil;         //!< Most recently used.
+    u32 _back = kNil;          //!< Least recently used: the victim.
     BwbStats _stats;
 };
 

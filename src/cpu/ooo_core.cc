@@ -1,5 +1,8 @@
 #include "cpu/ooo_core.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/cancel.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
@@ -11,6 +14,9 @@ OoOCore::OoOCore(const CoreConfig &config, pa::PointerLayout layout,
     : _config(config), _layout(layout), _mem(mem), _mcu(mcu)
 {
     panic_if(!mem, "core requires a memory system");
+    const u32 slots = std::bit_ceil(std::max(config.robEntries, 1u));
+    _rob.resize(slots);
+    _robMask = slots - 1;
 }
 
 Cycles
@@ -70,7 +76,7 @@ OoOCore::execLatency(const ir::MicroOp &op, Tick now)
 bool
 OoOCore::issueOne(const ir::MicroOp &op, Tick now)
 {
-    if (_rob.size() >= _config.robEntries) {
+    if (robFull()) {
         ++_stats.robFullStalls;
         return false;
     }
@@ -129,16 +135,17 @@ OoOCore::issueOne(const ir::MicroOp &op, Tick now)
         _mem->fetchAccess(_fetchPc);
     }
 
-    _rob.push_back(entry);
+    _rob[(_robHead + _robCount) & _robMask] = entry;
+    ++_robCount;
     return true;
 }
 
-void
+bool
 OoOCore::commit(Tick now)
 {
-    for (unsigned slot = 0; slot < _config.commitWidth && !_rob.empty();
-         ++slot) {
-        RobEntry &head = _rob.front();
+    unsigned slot = 0;
+    for (; slot < _config.commitWidth && _robCount > 0; ++slot) {
+        const RobEntry &head = robHead();
         if (head.doneAt > now)
             break;
         if (head.inMcq && !_mcu->readyToRetire(head.seq)) {
@@ -158,8 +165,24 @@ OoOCore::commit(Tick now)
         else if (head.kind == ir::OpKind::kStore)
             ++_stats.stores;
         ++_stats.committed;
-        _rob.pop_front();
+        _robHead = (_robHead + 1) & _robMask;
+        --_robCount;
     }
+    return slot > 0;
+}
+
+Tick
+OoOCore::nextEvent(Tick now, bool can_issue) const
+{
+    constexpr Tick kNone = ~Tick{0};
+    Tick event = kNone;
+    if (_robCount > 0 && robHead().doneAt > now)
+        event = robHead().doneAt;
+    if (_mcu)
+        event = std::min(event, _mcu->nextWake());
+    if (can_issue && _fetchBlockedUntil > now)
+        event = std::min(event, _fetchBlockedUntil);
+    return event == kNone ? now + 1 : std::max(event, now + 1);
 }
 
 const CoreStats &
@@ -167,62 +190,94 @@ OoOCore::run(ir::InstStream &stream, u64 max_ops)
 {
     prof::Scope scope("cpu.run");
     Tick now = _stats.cycles;
+    // Ops are pulled a block at a time, never past max_ops, so every
+    // pulled op has issued by the time the stream is done.
+    constexpr size_t kPullBlock = 64;
+    ir::MicroOp block[kPullBlock];
+    size_t pos = 0;
+    size_t filled = 0;
     bool stream_done = false;
-    ir::MicroOp pending;
-    bool have_pending = false;
 
     while (true) {
+        const u64 retire_delayed = _stats.retireDelayed;
+        const u64 rob_full = _stats.robFullStalls;
+        const u64 lsq_full = _stats.lsqFullStalls;
+        const u64 mcq_full = _stats.mcqFullStalls;
+
         // 1. Commit from the ROB head.
-        commit(now);
+        bool progress = commit(now);
 
         // 2. Let the MCU make progress and free retired entries.
         if (_mcu) {
-            _mcu->tick(now);
-            _mcu->drainRetired();
+            progress |= _mcu->tick(now);
+            progress |= _mcu->drainRetired();
         }
 
         // 3. Issue new micro-ops while the frontend is not redirecting.
         bool mcq_stall = false;
         if (now >= _fetchBlockedUntil) {
             for (unsigned slot = 0; slot < _config.issueWidth; ++slot) {
-                if (max_ops && _nextSeq > max_ops) {
-                    stream_done = true;
-                    break;
-                }
-                if (!have_pending) {
-                    if (!stream.next(pending)) {
+                if (pos == filled) {
+                    u64 want = kPullBlock;
+                    if (max_ops) {
+                        want = std::min<u64>(
+                            want, max_ops >= _nextSeq
+                                      ? max_ops - _nextSeq + 1 : 0);
+                    }
+                    filled = (stream_done || want == 0)
+                                 ? 0 : stream.nextBatch(block, want);
+                    pos = 0;
+                    if (filled == 0) {
                         stream_done = true;
                         break;
                     }
-                    have_pending = true;
                 }
+                const ir::MicroOp &op = block[pos];
                 if (_mcu && _mcu->full() &&
-                    (pending.isMem() || pending.isBoundsOp())) {
+                    (op.isMem() || op.isBoundsOp())) {
                     mcq_stall = true;
                 }
-                if (!issueOne(pending, now))
+                if (!issueOne(op, now))
                     break;
-                have_pending = false;
+                ++pos;
+                progress = true;
             }
         }
         if (mcq_stall)
             _mcqStallCooldownUntil = now + 4;
 
-        ++now;
+        // Idle-cycle skip. A cycle that committed, issued and stepped
+        // nothing (an HBT resize always steps) is repeated exactly by
+        // every cycle up to the next event, so jump there and credit
+        // the skipped cycles with this one's stall counts.
+        Tick next = now + 1;
+        if (!progress) {
+            next = nextEvent(now, !stream_done);
+            const u64 skipped = next - now - 1;
+            _stats.retireDelayed +=
+                skipped * (_stats.retireDelayed - retire_delayed);
+            _stats.robFullStalls +=
+                skipped * (_stats.robFullStalls - rob_full);
+            _stats.lsqFullStalls +=
+                skipped * (_stats.lsqFullStalls - lsq_full);
+            _stats.mcqFullStalls +=
+                skipped * (_stats.mcqFullStalls - mcq_full);
+            if (mcq_stall)
+                _mcqStallCooldownUntil = next - 1 + 4;
+        }
 
-        // Cancellation point (shutdown request): cheap
-        // enough at one check per 1024 cycles to be invisible in the
-        // hot-loop profile, frequent enough to preempt within an
-        // op-quantum (the issue width bounds ops per cycle).
-        if ((now & 0x3ff) == 0 && _config.cancel) {
-            _stats.cycles = now;
+        // Cancellation point (shutdown request), once per 1024 cycles
+        // crossed: cheap enough to be invisible in the hot-loop
+        // profile, frequent enough to preempt within an op-quantum
+        // (the issue width bounds ops per cycle).
+        if (_config.cancel && (next >> 10) != (now >> 10)) {
+            _stats.cycles = next;
             _config.cancel->throwIfCancelled();
         }
+        now = next;
 
-        if (stream_done && !have_pending && _rob.empty() &&
-            (!_mcu || _mcu->empty())) {
+        if (stream_done && _robCount == 0 && (!_mcu || _mcu->empty()))
             break;
-        }
         // Safety valve against pathological livelock.
         panic_if(now > _stats.cycles + (u64{1} << 40),
                  "core appears to be livelocked");

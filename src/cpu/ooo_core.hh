@@ -16,6 +16,12 @@
  *  - bndstr/bndclr issue directly to the MCU and commit only after
  *    their occupancy check, with the table write post-commit.
  *
+ * The loop is event-driven: after a cycle in which nothing commits,
+ * issues or steps in the MCU, run() jumps to the next cycle in which
+ * something can change (the ROB head completes, an MCQ entry wakes or
+ * a fetch redirect ends). The stall counters are credited for every
+ * skipped cycle, so all statistics equal a cycle-by-cycle run's.
+ *
  * Register dependencies are not tracked (workload streams carry no
  * dataflow); memory latency exerts pressure through ROB occupancy, as
  * in other bandwidth-limit models. This keeps absolute IPC optimistic
@@ -28,7 +34,7 @@
 #ifndef AOS_CPU_OOO_CORE_HH
 #define AOS_CPU_OOO_CORE_HH
 
-#include <deque>
+#include <vector>
 
 #include "cpu/tage.hh"
 #include "ir/micro_op.hh"
@@ -57,8 +63,9 @@ struct CoreConfig
     u64 codeFootprint = 16 * 1024; //!< Synthetic instruction footprint.
 
     /**
-     * Polled every 1024 cycles in run(); raises CancelledException at
-     * that cancellation point so a shutdown request preempts a
+     * Polled in run() whenever the clock crosses a multiple of 1024
+     * cycles, also by an idle-cycle jump; raises CancelledException
+     * at that cancellation point so a shutdown request preempts a
      * simulation at op granularity. Null disables (not owned).
      */
     const CancelToken *cancel = nullptr;
@@ -126,8 +133,17 @@ class OoOCore
     };
 
     bool issueOne(const ir::MicroOp &op, Tick now);
-    void commit(Tick now);
+    /** Retire up to commitWidth ops; true if any retired. */
+    bool commit(Tick now);
     Cycles execLatency(const ir::MicroOp &op, Tick now);
+    /**
+     * The first cycle after idle cycle @p now at which something can
+     * change, or now + 1 when no event is pending.
+     */
+    Tick nextEvent(Tick now, bool can_issue) const;
+
+    bool robFull() const { return _robCount >= _config.robEntries; }
+    const RobEntry &robHead() const { return _rob[_robHead]; }
 
     CoreConfig _config;
     pa::PointerLayout _layout;
@@ -135,7 +151,12 @@ class OoOCore
     mcu::MemoryCheckUnit *_mcu;
     Tage _tage;
 
-    std::deque<RobEntry> _rob;
+    // The ROB: a ring of robEntries (rounded up to a power of two)
+    // slots, oldest at _robHead.
+    std::vector<RobEntry> _rob;
+    u32 _robHead = 0;
+    u32 _robCount = 0;
+    u32 _robMask = 0;
     unsigned _loadsInFlight = 0;
     unsigned _storesInFlight = 0;
     u64 _nextSeq = 1;

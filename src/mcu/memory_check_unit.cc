@@ -1,22 +1,10 @@
 #include "mcu/memory_check_unit.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace aos::mcu {
-
-namespace {
-
-/** Smallest power of two >= @p n (ring capacity). */
-u32
-ringCapacity(u32 n)
-{
-    u32 cap = 1;
-    while (cap < n)
-        cap *= 2;
-    return cap;
-}
-
-} // namespace
 
 MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
                                  const pa::PointerLayout &layout,
@@ -27,10 +15,11 @@ MemoryCheckUnit::MemoryCheckUnit(const McuConfig &config,
 {
     panic_if(!hbt, "MCU requires a hashed bounds table");
     panic_if(!mem, "MCU requires a memory system");
-    const u32 cap = ringCapacity(std::max(config.mcqEntries, 1u));
-    _slots.resize(cap);
-    _wake.assign(cap, kNever);
-    _slotMask = cap - 1;
+    fatal_if(config.mcqEntries > kRingSlots,
+             "MCQ of %u entries exceeds the %u-slot ring",
+             config.mcqEntries, kRingSlots);
+    _slots.resize(kRingSlots);
+    _wake.assign(kRingSlots, kNever);
 }
 
 bool
@@ -66,6 +55,7 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
       case ir::OpKind::kBndstr:
         entry.type = McqType::kBndstr;
         entry.bndData = bounds::compress(entry.rawAddr, size);
+        ++_bndstrs;
         break;
       case ir::OpKind::kBndclr:
         entry.type = McqType::kBndclr;
@@ -75,7 +65,7 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
     }
 
     ++_stats.enqueued;
-    _wake[slot] = now;
+    arm(slot, now);
     ++_count;
     return true;
 }
@@ -83,6 +73,12 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
 McqEntry *
 MemoryCheckUnit::find(u64 seq)
 {
+    // The ROB retires in order, so its head's entry is the oldest
+    // uncommitted one: the slot after the last markCommitted().
+    if (((_commitCursor - _headSlot) & kSlotMask) < _count &&
+        _slots[_commitCursor].seq == seq) {
+        return &_slots[_commitCursor];
+    }
     // Lower bound of seq over the ring, oldest entry first.
     u32 lo = 0;
     for (u32 n = _count; n > 0;) {
@@ -115,7 +111,9 @@ MemoryCheckUnit::markCommitted(u64 seq)
     entry->committed = true;
     // Commit-gated work (kBndStr mutation) sleeps with wake = kNever;
     // re-arm the slot.
-    _wake[static_cast<size_t>(entry - _slots.data())] = 0;
+    const u32 slot = static_cast<u32>(entry - _slots.data());
+    arm(slot, 0);
+    _commitCursor = (slot + 1) & kSlotMask;
 }
 
 bool
@@ -152,7 +150,7 @@ MemoryCheckUnit::faulted(u64 seq, FaultKind *kind) const
 bool
 MemoryCheckUnit::tryForward(McqEntry &entry)
 {
-    if (!_config.boundsForwarding)
+    if (!_config.boundsForwarding || _bndstrs == 0)
         return false;
     // Search older in-flight bndstr entries with the same PAC whose
     // bounds cover this access (SV-F2). Only entries that have passed
@@ -184,6 +182,8 @@ MemoryCheckUnit::tryForward(McqEntry &entry)
 bool
 MemoryCheckUnit::hasPendingOlderBndstr(const McqEntry &entry) const
 {
+    if (_bndstrs == 0)
+        return false;
     for (u32 i = 0; i < _count; ++i) {
         const McqEntry &other = _slots[slotOf(i)];
         if (other.seq >= entry.seq)
@@ -237,7 +237,7 @@ MemoryCheckUnit::replayYounger(const McqEntry &from)
         // still occupies its port, so the replayed walk starts once
         // that access would have returned.
         entry.resetForRetry(entry.readyAt);
-        _wake[slot] = entry.readyAt;
+        arm(slot, entry.readyAt);
         ++_stats.replays;
     }
 }
@@ -432,12 +432,14 @@ MemoryCheckUnit::stepEntry(McqEntry &entry, Tick now, unsigned &ports)
     }
 }
 
-void
+bool
 MemoryCheckUnit::tick(Tick now)
 {
+    bool moved = false;
     // The micro-architectural table manager migrates rows in the
     // background during a gradual resize (SV-F3).
     if (_hbt->resizing()) {
+        moved = true;
         for (unsigned i = 0; i < _config.migrationRowsPerCycle; ++i) {
             if (_config.chargeMigrationTraffic &&
                 _hbt->migrationRow() < _hbt->rows()) {
@@ -455,14 +457,31 @@ MemoryCheckUnit::tick(Tick now)
         }
     }
 
-    unsigned ports = _config.boundsPortsPerCycle;
-    for (u32 i = 0; i < _count; ++i) {
-        const u32 slot = slotOf(i);
-        if (_wake[slot] > now)
-            continue;
-        McqEntry &entry = _slots[slot];
-        stepEntry(entry, now, ports);
-        _wake[slot] = wakeOf(entry);
+    // Walk the armed slots oldest first, so ports go to the oldest
+    // due entries. The mask is re-read at every step: a commit's
+    // replayYounger() may arm a younger slot, which this walk must
+    // still reach. The walk sees every armed wake, so it leaves
+    // _minWake exact.
+    if (_minWake <= now) {
+        unsigned ports = _config.boundsPortsPerCycle;
+        Tick min_wake = kNever;
+        for (u32 i = 0; i < kRingSlots; ++i) {
+            // Bit k of the rotated mask is the k-th oldest entry.
+            const u64 ahead =
+                std::rotr(_armed, static_cast<int>(_headSlot)) >> i;
+            if (ahead == 0)
+                break;
+            i += static_cast<u32>(std::countr_zero(ahead));
+            const u32 slot = slotOf(i);
+            if (_wake[slot] <= now) {
+                McqEntry &entry = _slots[slot];
+                stepEntry(entry, now, ports);
+                arm(slot, wakeOf(entry));
+                moved = true;
+            }
+            min_wake = std::min(min_wake, _wake[slot]);
+        }
+        _minWake = min_wake;
     }
 
     // Head-of-queue fault handling: raise the AOS exception.
@@ -479,19 +498,22 @@ MemoryCheckUnit::tick(Tick now)
         }
         if (handled) {
             head.resetForRetry(now + 1);
-            _wake[_headSlot] = head.readyAt;
+            arm(_headSlot, head.readyAt);
         } else {
             // Report-and-resume policy: the violation was counted when
             // the entry entered Fail; complete the instruction.
             head.state = McqState::kDone;
-            _wake[_headSlot] = kNever;
+            arm(_headSlot, kNever);
         }
+        moved = true;
     }
+    return moved;
 }
 
-void
+bool
 MemoryCheckUnit::drainRetired()
 {
+    bool drained = false;
     while (_count > 0) {
         McqEntry &head = _slots[_headSlot];
         if (head.state != McqState::kDone || !head.committed)
@@ -502,11 +524,15 @@ MemoryCheckUnit::drainRetired()
             _bwb->update(head.rawAddr, head.ahc, head.pac, head.way);
         }
         _stats.waysTouchedTotal += head.waysTouched;
+        if (head.type == McqType::kBndstr)
+            --_bndstrs;
         head.valid = false;
-        _wake[_headSlot] = kNever;
-        _headSlot = (_headSlot + 1) & _slotMask;
+        arm(_headSlot, kNever);
+        _headSlot = (_headSlot + 1) & kSlotMask;
         --_count;
+        drained = true;
     }
+    return drained;
 }
 
 void
@@ -517,7 +543,7 @@ MemoryCheckUnit::restartHead()
     // readyAt 0: the retried walk may issue on the next tick, exactly
     // as the (stale, past) readyAt the old code left behind allowed.
     _slots[_headSlot].resetForRetry(0);
-    _wake[_headSlot] = 0;
+    arm(_headSlot, 0);
 }
 
 } // namespace aos::mcu

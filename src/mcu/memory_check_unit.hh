@@ -26,6 +26,7 @@
 #ifndef AOS_MCU_MEMORY_CHECK_UNIT_HH
 #define AOS_MCU_MEMORY_CHECK_UNIT_HH
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -178,8 +179,24 @@ class MemoryCheckUnit
     /** The ROB retired instruction @p seq (sets Committed). */
     void markCommitted(u64 seq);
 
-    /** Advance all entry FSMs by one cycle. */
-    void tick(Tick now);
+    /**
+     * Advance all entry FSMs by one cycle. Returns true if the cycle
+     * changed any state: an entry stepped, the head fault handler ran
+     * or the HBT migrated rows. After a false return nothing changes
+     * before nextWake(), unless the queue is enqueued to, committed
+     * to or drained.
+     */
+    bool tick(Tick now);
+
+    /** Tick value meaning "no time-driven work pending". */
+    static constexpr Tick kNever = ~Tick{0};
+
+    /**
+     * A lower bound on the next tick at which tick() steps an entry
+     * (kNever when none is armed). Exact after a tick() that walked
+     * the queue.
+     */
+    Tick nextWake() const { return _minWake; }
 
     /**
      * True when the ROB may retire @p seq: checks must be Done;
@@ -191,8 +208,11 @@ class MemoryCheckUnit
     /** True when entry @p seq ended in the Fail state. */
     bool faulted(u64 seq, FaultKind *kind = nullptr) const;
 
-    /** Drop completed (Done + Committed) entries from the head. */
-    void drainRetired();
+    /**
+     * Drop completed (Done + Committed) entries from the head. Returns
+     * true if any entry left.
+     */
+    bool drainRetired();
 
     /**
      * Handle a bndstr overflow at the head of the queue: the OS
@@ -212,8 +232,12 @@ class MemoryCheckUnit
     size_t occupancy() const { return _count; }
 
   private:
-    /** Wake value for slots with no time-driven work pending. */
-    static constexpr Tick kNever = ~Tick{0};
+    /**
+     * Ring slots. One u64 mask covers every slot, which bounds the
+     * MCQ at 64 entries (Table IV's is 48).
+     */
+    static constexpr u32 kRingSlots = 64;
+    static constexpr u32 kSlotMask = kRingSlots - 1;
 
     void stepEntry(McqEntry &entry, Tick now, unsigned &ports);
     void startWayAccess(McqEntry &entry, Tick now);
@@ -227,7 +251,23 @@ class MemoryCheckUnit
     const McqEntry *find(u64 seq) const;
 
     /** Ring slot of the @p i-th oldest entry. */
-    u32 slotOf(u32 i) const { return (_headSlot + i) & _slotMask; }
+    u32 slotOf(u32 i) const { return (_headSlot + i) & kSlotMask; }
+
+    /**
+     * Set @p slot's wake tick, keeping the armed mask and the wake
+     * lower bound in step with it.
+     */
+    void
+    arm(u32 slot, Tick wake)
+    {
+        _wake[slot] = wake;
+        if (wake == kNever) {
+            _armed &= ~(u64{1} << slot);
+        } else {
+            _armed |= u64{1} << slot;
+            _minWake = std::min(_minWake, wake);
+        }
+    }
 
     /**
      * Earliest tick @p entry needs stepping again. Terminal states and
@@ -255,18 +295,21 @@ class MemoryCheckUnit
     bounds::BoundsWayBuffer *_bwb;
     memsim::MemorySystem *_mem;
 
-    // MCQ storage (data-layout pass): a fixed-capacity ring whose
-    // slots are pool-allocated once at construction — no steady-state
-    // allocation — with the per-slot wake tick split out into its own
-    // plane (_wake) so the every-cycle scan touches one compact array
-    // instead of walking whole entries. Entries sit in the ring in
-    // strictly increasing seq order and leave only from the head, so
-    // find() binary-searches the occupied slots.
+    // MCQ storage: a fixed 64-slot ring allocated once at
+    // construction, with the per-slot wake tick split out into its own
+    // plane (_wake). A slot is armed (its bit set in _armed) iff its
+    // wake is not kNever, so tick() visits only armed slots, and none
+    // at all before _minWake. Entries sit in the ring in strictly
+    // increasing seq order and leave only from the head, so find()
+    // tries the slot after the last commit, then binary-searches.
     std::vector<McqEntry> _slots;
     std::vector<Tick> _wake;
+    u64 _armed = 0;
+    Tick _minWake = kNever; //!< Lower bound on every armed wake.
     u32 _headSlot = 0;
     u32 _count = 0;
-    u32 _slotMask = 0;
+    u32 _commitCursor = 0;  //!< Slot after the last markCommitted().
+    u32 _bndstrs = 0;       //!< bndstr entries in the queue.
 
     McuStats _stats;
 };

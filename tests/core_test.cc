@@ -221,5 +221,128 @@ TEST_F(CoreTest, LsqLimitRespected)
     EXPECT_GT(stats.lsqFullStalls, 0u);
 }
 
+TEST_F(CoreTest, MaxOpsStopsWithoutOverPulling)
+{
+    // run() pulls the stream in blocks, but never past max_ops: a
+    // second run() picks up exactly where the first stopped.
+    OoOCore core(CoreConfig{}, layout, &mem, nullptr);
+    ir::VectorStream stream(
+        std::vector<ir::MicroOp>(1000, op(ir::OpKind::kIntAlu)));
+    EXPECT_EQ(core.run(stream, 100).committed, 100u);
+    EXPECT_EQ(core.run(stream, 0).committed, 1000u);
+}
+
+// ---- Frozen stall accounting ------------------------------------------
+//
+// The core jumps over cycles in which nothing commits, issues or steps
+// in the MCU, and credits each skipped cycle with the stall counts of
+// the cycle before the jump. These scenarios spend most of their time
+// in such stretches. Their counters were frozen from the cycle-by-cycle
+// loop, which stepped every cycle, so any drift in the skip shows here.
+
+struct FrozenStalls
+{
+    u64 cycles;
+    u64 retireDelayed;
+    u64 robFullStalls;
+    u64 lsqFullStalls;
+    u64 mcqFullStalls;
+};
+
+void
+expectStalls(const CoreStats &stats, const FrozenStalls &frozen)
+{
+    EXPECT_EQ(stats.cycles, frozen.cycles);
+    EXPECT_EQ(stats.retireDelayed, frozen.retireDelayed);
+    EXPECT_EQ(stats.robFullStalls, frozen.robFullStalls);
+    EXPECT_EQ(stats.lsqFullStalls, frozen.lsqFullStalls);
+    EXPECT_EQ(stats.mcqFullStalls, frozen.mcqFullStalls);
+}
+
+TEST_F(CoreTest, DramMissAtHeadFillsRobThenLoadQueueExactly)
+{
+    // A cold load holds the ROB head while 200 ALU ops fill the ROB;
+    // then a second cold load holds it while 40 hits fill the LQ.
+    std::vector<ir::MicroOp> ops;
+    ops.push_back(op(ir::OpKind::kLoad, 0x20000000));
+    for (int i = 0; i < 200; ++i)
+        ops.push_back(op(ir::OpKind::kIntAlu));
+    ops.push_back(op(ir::OpKind::kLoad, 0x28000000));
+    for (int i = 0; i < 40; ++i)
+        ops.push_back(op(ir::OpKind::kLoad, 0x20000000 + (i % 8) * 8));
+    const CoreStats stats = runOps(std::move(ops));
+    EXPECT_EQ(stats.committed, 242u);
+    expectStalls(stats, {225, 0, 85, 105, 0});
+}
+
+TEST_F(CoreTest, SignedLoadDelaysRetirementExactly)
+{
+    // Two signed loads whose cold bounds walks outlast their cached
+    // data accesses, with ALU work between them.
+    bounds::HashedBoundsTable hbt(0x3000'0000'0000ull, 16, 1);
+    bounds::BoundsWayBuffer bwb(64);
+    hbt.insert(3, bounds::compress(0x20000000, 256));
+    hbt.insert(5, bounds::compress(0x20004000, 256));
+    mcu::MemoryCheckUnit unit(mcu::McuConfig{}, layout, &hbt, &bwb, &mem);
+    // Warm the data lines: only the bounds walks go to DRAM.
+    mem.dataAccess(0x20000010, false);
+    mem.dataAccess(0x20004020, false);
+
+    std::vector<ir::MicroOp> ops;
+    ops.push_back(op(ir::OpKind::kLoad, layout.compose(0x20000010, 3, 2)));
+    for (int i = 0; i < 20; ++i)
+        ops.push_back(op(ir::OpKind::kIntAlu));
+    ops.push_back(op(ir::OpKind::kLoad, layout.compose(0x20004020, 5, 2)));
+    for (int i = 0; i < 20; ++i)
+        ops.push_back(op(ir::OpKind::kIntAlu));
+    const CoreStats stats = runOps(std::move(ops), CoreConfig{}, &unit);
+    EXPECT_EQ(stats.committed, 42u);
+    expectStalls(stats, {118, 111, 0, 0, 0});
+}
+
+TEST_F(CoreTest, MispredictWhileMcqFullExactly)
+{
+    // Signed loads back-pressure a 4-entry MCQ; the hard-to-predict
+    // branch behind each one issues inside the MCQ-stall cooldown, so
+    // its redirect penalty is the halved one.
+    bounds::HashedBoundsTable hbt(0x3000'0000'0000ull, 16, 1);
+    bounds::BoundsWayBuffer bwb(64);
+    for (int i = 0; i < 8; ++i)
+        hbt.insert(3, bounds::compress(0x20000000 + i * 0x1000, 256));
+    mcu::McuConfig mcfg;
+    mcfg.mcqEntries = 4;
+    mcu::MemoryCheckUnit unit(mcfg, layout, &hbt, &bwb, &mem);
+
+    std::vector<ir::MicroOp> ops;
+    for (int i = 0; i < 64; ++i) {
+        ops.push_back(op(ir::OpKind::kLoad,
+                         layout.compose(0x20000000 + (i % 8) * 0x1000, 3,
+                                        2)));
+        ir::MicroOp b = op(ir::OpKind::kBranch);
+        b.branchId = static_cast<u32>(i % 16);
+        b.taken = (i * 2654435761u) & 0x10000;
+        ops.push_back(b);
+    }
+    const CoreStats stats = runOps(std::move(ops), CoreConfig{}, &unit);
+    EXPECT_EQ(stats.committed, 128u);
+    EXPECT_EQ(stats.mispredicts, 36u);
+    expectStalls(stats, {388, 89, 0, 0, 204});
+}
+
+TEST(CoreDeath, McqLargerThanItsRingIsFatal)
+{
+    // The MCU's slot mask is one u64: a 64-entry MCQ is the largest.
+    pa::PointerLayout layout(16, 46);
+    memsim::MemorySystem mem;
+    bounds::HashedBoundsTable hbt(0x3000'0000'0000ull, 16, 1);
+    mcu::McuConfig mcfg;
+    mcfg.mcqEntries = 64;
+    mcu::MemoryCheckUnit fits(mcfg, layout, &hbt, nullptr, &mem);
+    EXPECT_TRUE(fits.empty());
+    mcfg.mcqEntries = 65;
+    EXPECT_DEATH(mcu::MemoryCheckUnit(mcfg, layout, &hbt, nullptr, &mem),
+                 "exceeds");
+}
+
 } // namespace
 } // namespace aos::cpu
