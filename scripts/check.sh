@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: default build + tier-1 tests, sanitizer build +
 # tests, thread-sanitizer pass over the concurrent subsystems
-# (campaign pool, logging), bounds-elision ablation (obligation gates,
-# including the pointer-fault replay, + jobs parity), the paper sweep
+# (campaign pool, logging), the elision ablation (its five gates: the
+# obligation court, bndstr coverage, the stream verifier, attack parity
+# and pointer-fault parity, + jobs parity), the paper sweep
 # (all five Figs. 14-18 tables, JSON emission + jobs parity) and
 # clang-tidy lint.
 # Run from the repository root:
@@ -78,20 +79,22 @@ json_parity() {
     fi
 }
 
-echo "== [5/7] bounds-elision ablation (obligation gates + parity) =="
-# The benchmark itself exits non-zero if any ObligationChecker gate
-# fails or elision coverage collapses (DESIGN.md §11); the wrapper adds
-# the determinism contract on top.
+echo "== [5/7] elision ablation (court, bndstr coverage, verifier, attack parity, pointer-fault parity + jobs parity) =="
+# The benchmark itself exits non-zero if any of its five gates fails:
+# an ObligationChecker plan rejection, bndstr elision coverage below
+# the floor, a stream-verifier diagnostic, attack-detection parity or
+# pointer-fault parity (DESIGN.md §6.2, §11); the wrapper adds the
+# determinism contract on top.
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/belide1.json" \
-    ./build/bench/bounds_elision
+    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elide1.json" \
+    ./build/bench/elision_ablation
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
-    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/belideN.json" \
-    ./build/bench/bounds_elision
-grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/belide1.json"
-json_parity "${SMOKE_DIR}/belide1.json" "${SMOKE_DIR}/belideN.json" \
-    "bounds elision"
-echo "bounds elision: gates + parity OK"
+    AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elideN.json" \
+    ./build/bench/elision_ablation
+grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/elide1.json"
+json_parity "${SMOKE_DIR}/elide1.json" "${SMOKE_DIR}/elideN.json" \
+    "elision ablation"
+echo "elision ablation: gates + parity OK"
 
 echo "== [6/7] paper sweep (Figs. 14-18 tables + jobs parity) =="
 # One campaign feeds all five figure tables; every table must print

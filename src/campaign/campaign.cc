@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Minimum gap between two progress lines. */
+constexpr double kProgressIntervalSec = 2.0;
+
 double
 secondsSince(Clock::time_point t0, Clock::time_point t1)
 {
@@ -78,20 +81,6 @@ runJob(const Job &job, u32 idx, JobResult &r, const CancelToken &cancel,
     }
 }
 
-/** Fold ok-job stats into result.merged, run the reducers, and attach
- *  the AOS_PROFILE breakdown if enabled. */
-void
-mergeAndReduce(CampaignResult &result, const std::vector<Reducer> &reducers)
-{
-    for (const JobResult &r : result.jobs) {
-        if (r.ok())
-            result.merged.merge(r.stats);
-    }
-    computeReducers(result, reducers);
-    if (prof::enabled())
-        prof::addTo(result.profile);
-}
-
 } // namespace
 
 const char *
@@ -136,12 +125,6 @@ Campaign::add(Job job)
     return static_cast<u32>(_jobs.size() - 1);
 }
 
-void
-Campaign::addReducer(Reducer reducer)
-{
-    _reducers.push_back(std::move(reducer));
-}
-
 CampaignResult
 Campaign::run()
 {
@@ -174,7 +157,7 @@ Campaign::run()
         std::lock_guard<std::mutex> guard(progressMutex);
         const Clock::time_point now = Clock::now();
         if (done < total &&
-            secondsSince(lastReport, now) < _options.progressIntervalSec) {
+            secondsSince(lastReport, now) < kProgressIntervalSec) {
             return;
         }
         lastReport = now;
@@ -222,7 +205,8 @@ Campaign::run()
         cancel.cancelled() || result.count(JobStatus::kCancelled) > 0 ||
         result.count(JobStatus::kPending) > 0;
     result.totalWallMs = 1e3 * secondsSince(start, Clock::now());
-    mergeAndReduce(result, _reducers);
+    if (prof::enabled())
+        prof::addTo(result.profile);
     return result;
 }
 

@@ -18,10 +18,10 @@
  *    via CampaignOptions::cancel) preempts the running jobs at their
  *    next cancellation point, records them as kCancelled, leaves the
  *    queued jobs pending, and sets CampaignResult::interrupted.
- *  - Aggregation: per-job stats flatten to StatSet and fold into a
- *    campaign-wide rollup via StatSet::merge(); named reducers
- *    (geomean/sum/max/min/mean over a stat, with an optional job
- *    filter) compute figure-style summary numbers.
+ *  - Aggregation: per-job stats flatten to StatSet; after injecting
+ *    derived per-job stats, a harness calls computeReducers() with
+ *    named reducers (geomean/sum/max/min/mean over a stat, with an
+ *    optional job filter) for figure-style summary numbers.
  *  - Emission: results serialize to a versioned JSON document
  *    ("aos-campaign-v1") with every member on its own line, so
  *    `grep -v` + `diff` can check run-to-run parity from a shell.
@@ -117,7 +117,6 @@ struct CampaignOptions
     std::string name = "campaign";
     unsigned workers = 0;      //!< 0 = std::thread::hardware_concurrency.
     bool progress = false;     //!< progressf() completion/ETA lines.
-    double progressIntervalSec = 2.0;
 
     /**
      * Shutdown token (usually &shutdownToken()), handed to every job.
@@ -137,8 +136,7 @@ struct CampaignResult
     bool interrupted = false;  //!< Shutdown requested before completion.
 
     std::vector<JobResult> jobs;
-    std::vector<ReducerOutput> reducers;
-    StatSet merged{"campaign"}; //!< StatSet::merge of all ok jobs.
+    std::vector<ReducerOutput> reducers; //!< Set by computeReducers().
 
     /**
      * Simulator (host) wall-time breakdown from common/profiler.hh.
@@ -172,13 +170,6 @@ class Campaign
     /** Queue a job; returns its id (= index into result.jobs). */
     u32 add(Job job);
 
-    void addReducer(Reducer reducer);
-
-    size_t size() const { return _jobs.size(); }
-    const CampaignOptions &options() const { return _options; }
-    const std::vector<Job> &jobs() const { return _jobs; }
-    const std::vector<Reducer> &reducers() const { return _reducers; }
-
     /**
      * Execute every queued job on the thread pool; blocks until the
      * sweep finishes. Workers claim jobs through one atomic cursor in
@@ -191,13 +182,13 @@ class Campaign
   private:
     CampaignOptions _options;
     std::vector<Job> _jobs;
-    std::vector<Reducer> _reducers;
 };
 
 /**
- * (Re)compute reducer outputs over the current job stats. Harnesses
- * that inject derived per-job scalars (e.g. cycles normalized to a
- * baseline job) call this afterwards to refresh result.reducers.
+ * Compute reducer outputs over the current job stats into
+ * result.reducers (replacing any earlier ones). Harnesses call this
+ * after injecting derived per-job scalars (e.g. cycles normalized to
+ * a baseline job).
  */
 void computeReducers(CampaignResult &result,
                      const std::vector<Reducer> &reducers);

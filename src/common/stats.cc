@@ -7,31 +7,11 @@
 namespace aos {
 
 void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[key, stat] : other._scalars)
-        scalar(key) += stat.value();
-    for (const auto &[key, dist] : other._distributions)
-        distribution(key).merge(dist);
-}
-
-void
 StatSet::dump(std::ostream &os) const
 {
     for (const auto &[name, stat] : _scalars) {
         os << _name << '.' << name << ' ' << std::setprecision(12)
            << stat.value() << '\n';
-    }
-    for (const auto &[name, dist] : _distributions) {
-        os << _name << '.' << name << ".count " << dist.count() << '\n';
-        os << _name << '.' << name << ".mean " << std::setprecision(12)
-           << dist.mean() << '\n';
-        os << _name << '.' << name << ".stdev " << std::setprecision(12)
-           << dist.stdev() << '\n';
-        os << _name << '.' << name << ".min " << std::setprecision(12)
-           << dist.min() << '\n';
-        os << _name << '.' << name << ".max " << std::setprecision(12)
-           << dist.max() << '\n';
     }
 }
 

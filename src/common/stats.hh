@@ -11,7 +11,6 @@
 #ifndef AOS_COMMON_STATS_HH
 #define AOS_COMMON_STATS_HH
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <map>
@@ -78,34 +77,6 @@ class Distribution
         if (_count < 2)
             return 0.0;
         return std::sqrt(_m2 / static_cast<double>(_count));
-    }
-
-    /**
-     * Pool another distribution into this one (Chan et al. parallel
-     * Welford combine). The result is as if every sample of @p other
-     * had been sample()d here, up to floating-point association.
-     */
-    void
-    merge(const Distribution &other)
-    {
-        if (!other._count)
-            return;
-        if (!_count) {
-            _count = other._count;
-            _mean = other._mean;
-            _m2 = other._m2;
-            _min = other._min;
-            _max = other._max;
-            return;
-        }
-        const double na = static_cast<double>(_count);
-        const double nb = static_cast<double>(other._count);
-        const double delta = other._mean - _mean;
-        _mean += delta * nb / (na + nb);
-        _m2 += other._m2 + delta * delta * na * nb / (na + nb);
-        _min = std::min(_min, other._min);
-        _max = std::max(_max, other._max);
-        _count += other._count;
     }
 
     const std::string &name() const { return _name; }
@@ -177,42 +148,14 @@ class StatSet
 
     bool has(const std::string &name) const { return _scalars.count(name); }
 
-    Distribution &
-    distribution(const std::string &name)
-    {
-        auto it = _distributions.find(name);
-        if (it == _distributions.end())
-            it = _distributions.emplace(name, Distribution(name)).first;
-        return it->second;
-    }
-
-    bool
-    hasDistribution(const std::string &name) const
-    {
-        return _distributions.count(name);
-    }
-
-    /**
-     * Fold @p other into this set: scalars with the same key are
-     * summed (new keys are created), distributions with the same key
-     * are pooled via Distribution::merge(). Used by the campaign
-     * engine to aggregate per-job results into one rollup.
-     */
-    void merge(const StatSet &other);
-
     void dump(std::ostream &os) const;
 
     const std::string &name() const { return _name; }
     const std::map<std::string, Scalar> &scalars() const { return _scalars; }
-    const std::map<std::string, Distribution> &distributions() const
-    {
-        return _distributions;
-    }
 
   private:
     std::string _name;
     std::map<std::string, Scalar> _scalars;
-    std::map<std::string, Distribution> _distributions;
 };
 
 /** Geometric mean helper used by the figure harnesses. */

@@ -190,8 +190,10 @@ OoOCore::run(ir::InstStream &stream, u64 max_ops)
 {
     prof::Scope scope("cpu.run");
     Tick now = _stats.cycles;
-    // Ops are pulled a block at a time, never past max_ops, so every
-    // pulled op has issued by the time the stream is done.
+    // Ops are pulled a block at a time, never past max_ops issued in
+    // this call, so every pulled op has issued by the time the stream
+    // is done.
+    const u64 first_seq = _nextSeq;
     constexpr size_t kPullBlock = 64;
     ir::MicroOp block[kPullBlock];
     size_t pos = 0;
@@ -221,8 +223,7 @@ OoOCore::run(ir::InstStream &stream, u64 max_ops)
                     u64 want = kPullBlock;
                     if (max_ops) {
                         want = std::min<u64>(
-                            want, max_ops >= _nextSeq
-                                      ? max_ops - _nextSeq + 1 : 0);
+                            want, max_ops - (_nextSeq - first_seq));
                     }
                     filled = (stream_done || want == 0)
                                  ? 0 : stream.nextBatch(block, want);

@@ -105,8 +105,10 @@ class OoOCore
             memsim::MemorySystem *mem, mcu::MemoryCheckUnit *mcu);
 
     /**
-     * Run @p stream until @p max_ops micro-ops commit (0 = until the
-     * stream ends) and the machine drains. Returns final statistics.
+     * Run @p stream until this call has issued @p max_ops micro-ops
+     * (0 = until the stream ends) and the machine drains. The core may
+     * run again on the same or another stream; its statistics
+     * accumulate across calls. Returns the accumulated statistics.
      */
     const CoreStats &run(ir::InstStream &stream, u64 max_ops = 0);
 

@@ -35,7 +35,6 @@ MemoryCheckUnit::enqueue(ir::OpKind kind, Addr addr, u64 size, u64 seq,
     const u32 slot = slotOf(_count);
     McqEntry &entry = _slots[slot];
     entry = McqEntry{};
-    entry.valid = true;
     entry.seq = seq;
     entry.addr = addr;
     entry.rawAddr = _layout.strip(addr);
@@ -526,7 +525,6 @@ MemoryCheckUnit::drainRetired()
         _stats.waysTouchedTotal += head.waysTouched;
         if (head.type == McqType::kBndstr)
             --_bndstrs;
-        head.valid = false;
         arm(_headSlot, kNever);
         _headSlot = (_headSlot + 1) & kSlotMask;
         --_count;

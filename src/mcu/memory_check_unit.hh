@@ -72,7 +72,6 @@ enum class FaultKind : u8
 /** One in-flight MCQ entry (fields of paper SV-A1). */
 struct McqEntry
 {
-    bool valid = false;
     McqType type = McqType::kLoadCheck;
     McqState state = McqState::kInit;
     FaultKind fault = FaultKind::kNone;

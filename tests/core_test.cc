@@ -232,6 +232,17 @@ TEST_F(CoreTest, MaxOpsStopsWithoutOverPulling)
     EXPECT_EQ(core.run(stream, 0).committed, 1000u);
 }
 
+TEST_F(CoreTest, MaxOpsCountsOpsIssuedInThisCall)
+{
+    // max_ops bounds each call, not the core's lifetime: a second
+    // run(stream, 100) issues 100 more.
+    OoOCore core(CoreConfig{}, layout, &mem, nullptr);
+    ir::VectorStream stream(
+        std::vector<ir::MicroOp>(1000, op(ir::OpKind::kIntAlu)));
+    EXPECT_EQ(core.run(stream, 100).committed, 100u);
+    EXPECT_EQ(core.run(stream, 100).committed, 200u);
+}
+
 // ---- Frozen stall accounting ------------------------------------------
 //
 // The core jumps over cycles in which nothing commits, issues or steps

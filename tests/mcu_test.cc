@@ -551,7 +551,6 @@ TEST_F(McuTest, ForwardingStillServedFromCommittedDoneBndstr)
 TEST(McqEntryTest, ResetForRetryClearsExactlyTheWalkProgress)
 {
     McqEntry e;
-    e.valid = true;
     e.type = McqType::kBndstr;
     e.state = McqState::kFail;
     e.fault = FaultKind::kStoreOverflow;
@@ -585,7 +584,6 @@ TEST(McqEntryTest, ResetForRetryClearsExactlyTheWalkProgress)
     EXPECT_EQ(e.readyAt, Tick{1234});
 
     // Preserved: identity, operands, commit status, accounting.
-    EXPECT_TRUE(e.valid);
     EXPECT_EQ(e.type, McqType::kBndstr);
     EXPECT_EQ(e.addr, 0xdead0000u);
     EXPECT_EQ(e.rawAddr, 0x20001000u);

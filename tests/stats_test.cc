@@ -101,74 +101,6 @@ TEST(StatSet, NamedScalarsAndDump)
     EXPECT_NE(out.find("core.insts 250"), std::string::npos);
 }
 
-TEST(Distribution, MergeMatchesSequentialSampling)
-{
-    // Split one sample stream across two distributions; merging must
-    // reproduce the stats of sampling everything into one (Chan
-    // parallel Welford combine).
-    const std::vector<double> all{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
-    Distribution whole;
-    Distribution left;
-    Distribution right;
-    for (size_t i = 0; i < all.size(); ++i) {
-        whole.sample(all[i]);
-        (i < 3 ? left : right).sample(all[i]);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-    EXPECT_NEAR(left.stdev(), whole.stdev(), 1e-12);
-    EXPECT_DOUBLE_EQ(left.min(), whole.min());
-    EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Distribution, MergeHandlesEmptySides)
-{
-    Distribution filled;
-    filled.sample(2.0);
-    filled.sample(4.0);
-
-    Distribution empty;
-    Distribution target;
-    target.merge(empty); // no-op
-    EXPECT_EQ(target.count(), 0u);
-
-    target.merge(filled); // adopt
-    EXPECT_EQ(target.count(), 2u);
-    EXPECT_DOUBLE_EQ(target.mean(), 3.0);
-
-    filled.merge(empty); // no-op on filled side
-    EXPECT_EQ(filled.count(), 2u);
-}
-
-TEST(StatSet, MergeSumsScalarsAndPoolsDistributions)
-{
-    StatSet a("a");
-    a.scalar("cycles") = 100;
-    a.scalar("only_a") = 7;
-    a.distribution("lat").sample(10.0);
-    a.distribution("lat").sample(20.0);
-
-    StatSet b("b");
-    b.scalar("cycles") = 50;
-    b.scalar("only_b") = 3;
-    b.distribution("lat").sample(30.0);
-    b.distribution("other").sample(1.0);
-
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.value("cycles"), 150.0);
-    EXPECT_DOUBLE_EQ(a.value("only_a"), 7.0);
-    EXPECT_DOUBLE_EQ(a.value("only_b"), 3.0);
-    EXPECT_EQ(a.distribution("lat").count(), 3u);
-    EXPECT_DOUBLE_EQ(a.distribution("lat").mean(), 20.0);
-    EXPECT_TRUE(a.hasDistribution("other"));
-
-    std::ostringstream os;
-    a.dump(os);
-    EXPECT_NE(os.str().find("a.lat.mean 20"), std::string::npos);
-    EXPECT_NE(os.str().find("a.lat.count 3"), std::string::npos);
-}
-
 TEST(Geomean, MatchesClosedForm)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
