@@ -12,14 +12,23 @@
  *    authentications redundant (the same chunk's metadata was already
  *    authenticated and nothing invalidated the proof).
  *
- * One campaign runs three jobs per profile: the PA+AOS base, autm
- * elision and bounds elision (with the online stream verifier and its
- * SC15-SC18 elided-region contracts). Two tables report coverage and
- * timing. The functional checks below them stay serial:
+ * One campaign runs three timing jobs per profile: the PA+AOS base,
+ * autm elision and bounds elision. Two tables report coverage and
+ * timing. A second, non-emitted campaign runs two functional jobs per
+ * profile on the same pool:
  *
- *  - the obligation court: per profile, the full and bounds-elided
- *    streams are replayed through the ObligationChecker (ground-truth
- *    parity, obligation replay, aligned pointer-fault replay);
+ *  - the stream verifier: the bounds-elided stream the belide cell
+ *    times (same window, layout and plan) is linted with the
+ *    SC15-SC18 elided-region contracts; its finding count is the
+ *    bounds table's `verify` column;
+ *  - the obligation court: the full and bounds-elided streams are
+ *    replayed through the ObligationChecker (ground-truth parity,
+ *    obligation replay, aligned pointer-fault replay).
+ *
+ * Both write only their own profile's slot and print in profile order,
+ * so stdout does not depend on the worker count. Two small checks stay
+ * serial:
+ *
  *  - attack parity: the attack-gallery classes run through the
  *    pipeline with and without autm elision;
  *  - pointer-fault parity: one program mixing elidable chunks with
@@ -41,11 +50,10 @@
 #include "analysis/dataflow/engine.hh"
 #include "compiler/aos_bounds_elide_pass.hh"
 #include "compiler/aos_elide_pass.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
 #include "pa/pa_context.hh"
 #include "staticcheck/obligation_checker.hh"
 #include "staticcheck/stream_executor.hh"
+#include "staticcheck/stream_verifier.hh"
 #include "workloads/synthetic_workload.hh"
 
 using namespace aos;
@@ -86,10 +94,7 @@ drain(ir::InstStream &stream)
 std::vector<ir::MicroOp>
 lower(ir::InstStream &source, pa::PaContext &pa)
 {
-    compiler::AosOptPass opt(&source);
-    compiler::AosBackendPass backend(&opt, &pa);
-    compiler::PaPass pa_pass(&backend, compiler::PaMode::kPaAos);
-    return drain(pa_pass);
+    return drain(*core::instrument(&source, Mechanism::kPaAos, &pa).passes);
 }
 
 /** A bounds-elision plan and the ObligationChecker's verdict on it. */
@@ -121,6 +126,39 @@ tryPlan(ir::InstStream &analysed, ir::InstStream &source)
     staticcheck::ObligationChecker checker;
     trial.report = checker.check(full, elided, trial.plan);
     return trial;
+}
+
+/**
+ * Lint the stream the pa_aos_belide cell of @p profile times at an
+ * @p ops window: AosSystem's layout, its own dataflow plan and the
+ * PA+AOS chain with bounds elision, checked with the AOS lowering
+ * rules and the SC15-SC18 contracts. Returns the finding count.
+ */
+u64
+verifyBelided(const workloads::WorkloadProfile &profile, u64 ops,
+              const CancelToken &cancel)
+{
+    pa::PaContext pa(pa::PointerLayout(16, 46));
+    workloads::SyntheticWorkload analysed(profile, ops);
+    analysis::dataflow::DataflowEngine engine(pa.layout());
+    engine.run(analysed, &cancel);
+    const auto plan = analysis::dataflow::planBoundsElision(engine);
+
+    workloads::SyntheticWorkload source(profile, ops);
+    const auto chain = core::instrument(&source, Mechanism::kPaAos, &pa,
+                                        {.boundsPlan = &plan});
+    staticcheck::StreamVerifier verifier({.layout = pa.layout(),
+                                          .requireAosLowering = true,
+                                          .elisionPlan = &plan});
+    std::vector<ir::MicroOp> block(1024);
+    for (size_t n;
+         (n = chain.passes->nextBatch(block.data(), block.size())) != 0;) {
+        cancel.throwIfCancelled();
+        for (size_t i = 0; i < n; ++i)
+            verifier.observe(block[i]);
+    }
+    verifier.finish();
+    return verifier.totalDiagnostics();
 }
 
 /**
@@ -181,10 +219,6 @@ main()
     with_elision.aosElision = true;
     SystemOptions with_belide;
     with_belide.aosBoundsElision = true;
-    // Online lint with the SC15-SC18 elided-region contracts: any
-    // residual instrumentation or out-of-plan access in the elided
-    // stream is a diagnostic, and diagnostics fail this harness.
-    with_belide.verifyStream = true;
 
     campaign::Campaign sweep(campaignOptions("elision_ablation"));
     const auto &profiles = workloads::specProfiles();
@@ -208,6 +242,43 @@ main()
         return 1;
     }
 
+    // The functional checks, two jobs per profile on the same pool;
+    // each job writes only its own profile's slot. The verifier lints
+    // the belide cell's stream: any residual instrumentation or
+    // out-of-plan access in it is a finding, and findings fail this
+    // harness. The court is capped so it stays a smoke even when the
+    // timing campaign runs with a large AOS_SIM_OPS.
+    const u64 replay_ops = std::min<u64>(ops, 40'000);
+    std::vector<u64> verify_found(profiles.size());
+    std::vector<staticcheck::ObligationReport> courts(profiles.size());
+    campaign::Campaign checks(campaignOptions("elision_checks"));
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        checks.add({.name = profiles[p].name + "/verify",
+                    .profile = profiles[p],
+                    .cancellableBody = [&, p](const CancelToken &cancel) {
+                        verify_found[p] =
+                            verifyBelided(profiles[p], ops, cancel);
+                        return core::RunResult{};
+                    }});
+        checks.add({.name = profiles[p].name + "/court",
+                    .profile = profiles[p],
+                    .cancellableBody = [&, p](const CancelToken &) {
+                        workloads::SyntheticWorkload analysed(profiles[p],
+                                                              replay_ops);
+                        workloads::SyntheticWorkload source(profiles[p],
+                                                            replay_ops);
+                        courts[p] = tryPlan(analysed, source).report;
+                        return core::RunResult{};
+                    }});
+    }
+    const campaign::CampaignResult checked = checks.run();
+    exitIfInterrupted(checked);
+    if (!checked.allOk()) {
+        std::fprintf(stderr, "elision_ablation: %u check(s) failed\n",
+                     checked.count(campaign::JobStatus::kFailed));
+        return 1;
+    }
+
     std::printf("Elision ablation: PA+AOS vs autm elision vs dataflow "
                 "bounds elision, %llu ops/run\n\n",
                 static_cast<unsigned long long>(ops));
@@ -225,13 +296,13 @@ main()
         const StatSet &base = result.jobs[3 * p].stats;
         StatSet &belided = result.jobs[3 * p + 2].stats;
         const double cover = valueOr0(belided, "belide_bndstr_rate");
-        const double verify = valueOr0(belided, "verify_total");
+        const u64 verify = verify_found[p];
         const double norm =
             belided.value("cycles") / base.value("cycles");
         belided.scalar("norm_exec_time_belide") = norm;
         if (cover >= kCoverageFloor)
             ++covered;
-        verify_diags += static_cast<u64>(verify);
+        verify_diags += verify;
         belide_norm_geo.add(norm);
         std::printf("%-12s %9.0f %9.0f %6.1f%% %8.3f %8.3f %10.0f "
                     "%10.0f %8.3f %7.0f\n",
@@ -240,7 +311,8 @@ main()
                     belided.value("belide_bndstr_elided"), 100.0 * cover,
                     base.value("ipc"), belided.value("ipc"),
                     base.value("mcq_full_stalls"),
-                    belided.value("mcq_full_stalls"), norm, verify);
+                    belided.value("mcq_full_stalls"), norm,
+                    static_cast<double>(verify));
     }
     rule(98);
     std::printf("%-12s geomean exec time (elided/base): %.3f; "
@@ -299,9 +371,6 @@ main()
     const bool json_ok = emitCampaignJson(result, "elision_ablation");
 
     // --- Obligation court: every plan tried against ground truth ---
-    // Functional, not timed; capped so the serial replay stays a smoke
-    // even when the campaign above runs with a large AOS_SIM_OPS.
-    const u64 replay_ops = std::min<u64>(ops, 40'000);
     std::printf("\nObligation replay (%llu ops/profile, pointer-fault "
                 "replay):\n",
                 static_cast<unsigned long long>(replay_ops));
@@ -309,13 +378,11 @@ main()
                 "viol", "inj-full", "inj-el", "det-full", "det-el");
 
     bool plans_ok = true;
-    for (const auto &profile : profiles) {
-        workloads::SyntheticWorkload analysed(profile, replay_ops);
-        workloads::SyntheticWorkload source(profile, replay_ops);
-        const auto report = tryPlan(analysed, source).report;
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        const staticcheck::ObligationReport &report = courts[p];
         plans_ok &= report.ok;
         std::printf("  %-12s %6llu %5llu %9llu %9llu %9llu %9llu   %s\n",
-                    profile.name.c_str(),
+                    profiles[p].name.c_str(),
                     static_cast<unsigned long long>(
                         report.obligationsChecked),
                     static_cast<unsigned long long>(
@@ -333,7 +400,6 @@ main()
             for (const auto &failure : report.failures)
                 std::printf("    %s\n", failure.c_str());
         }
-        std::fflush(stdout);
     }
 
     // --- Detection parity on the attack-gallery classes ---

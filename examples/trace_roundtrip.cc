@@ -15,7 +15,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "compiler/aos_passes.hh"
+#include "core/aos_system.hh"
 #include "cpu/ooo_core.hh"
 #include "ir/trace.hh"
 #include "workloads/synthetic_workload.hh"
@@ -74,9 +74,9 @@ main(int argc, char **argv)
     pa::PaContext pa_ctx;
     workloads::SyntheticWorkload source(
         workloads::profileByName(workload), ops);
-    compiler::AosOptPass opt(&source);
-    compiler::AosBackendPass backend(&opt, &pa_ctx);
-    MeasuredWindow window(&backend);
+    const auto chain =
+        core::instrument(&source, baselines::Mechanism::kAos, &pa_ctx);
+    MeasuredWindow window(chain.passes.get());
     {
         ir::TraceWriter writer(path);
         ir::RecordingStream recorder(&window, &writer);

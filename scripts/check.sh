@@ -3,9 +3,9 @@
 # tests, thread-sanitizer pass over the concurrent subsystems
 # (campaign pool, logging), the elision ablation (its five gates: the
 # obligation court, bndstr coverage, the stream verifier, attack parity
-# and pointer-fault parity, + jobs parity), the paper sweep
-# (all five Figs. 14-18 tables, JSON emission + jobs parity) and
-# clang-tidy lint.
+# and pointer-fault parity, + jobs parity of its JSON and stdout), the
+# paper sweep (all five Figs. 14-18 tables, JSON emission + jobs
+# parity) and clang-tidy lint.
 # Run from the repository root:
 #
 #   scripts/check.sh              # everything
@@ -84,16 +84,24 @@ echo "== [5/7] elision ablation (court, bndstr coverage, verifier, attack parity
 # an ObligationChecker plan rejection, bndstr elision coverage below
 # the floor, a stream-verifier diagnostic, attack-detection parity or
 # pointer-fault parity (DESIGN.md §6.2, §11); the wrapper adds the
-# determinism contract on top.
+# determinism contract on top. The verifier and court rows come from
+# the worker pool, so stdout must match across worker counts too
+# (bar the line naming each run's JSON file).
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=1 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elide1.json" \
-    ./build/bench/elision_ablation
+    ./build/bench/elision_ablation | tee "${SMOKE_DIR}/elide1.txt"
 AOS_SIM_OPS=20000 AOS_CAMPAIGN_PROGRESS=0 AOS_CAMPAIGN_JOBS=4 \
     AOS_CAMPAIGN_JSON="${SMOKE_DIR}/elideN.json" \
-    ./build/bench/elision_ablation
+    ./build/bench/elision_ablation | tee "${SMOKE_DIR}/elideN.txt"
 grep -q '"schema": "aos-campaign-v1"' "${SMOKE_DIR}/elide1.json"
 json_parity "${SMOKE_DIR}/elide1.json" "${SMOKE_DIR}/elideN.json" \
     "elision ablation"
+if ! cmp <(grep -v '^campaign results: ' "${SMOKE_DIR}/elide1.txt") \
+         <(grep -v '^campaign results: ' "${SMOKE_DIR}/elideN.txt")
+then
+    echo "elision ablation: serial/parallel stdout parity FAILED" >&2
+    exit 1
+fi
 echo "elision ablation: gates + parity OK"
 
 echo "== [6/7] paper sweep (Figs. 14-18 tables + jobs parity) =="

@@ -70,7 +70,6 @@ struct SystemOptions
      * interpreter proves non-escaping with all accesses in bounds.
      */
     bool aosBoundsElision = false;
-    bool verifyStream = false;//!< Lint the instrumented stream online.
 
     /**
      * Cooperative-cancellation token polled by the simulation loops
@@ -81,10 +80,13 @@ struct SystemOptions
     const CancelToken *cancel = nullptr;
 
     /**
-     * Fault injection was removed; AosSystem rejects any nonzero value.
-     * Kept only because perfbench/traced_system.cc still reads it.
+     * Stream verification and fault injection left the simulator
+     * (bench/elision_ablation lints its streams itself). Constants,
+     * so nothing can set them; kept only because
+     * perfbench/traced_system.cc still reads them.
      */
-    u32 faultTypes = 0;
+    static constexpr bool verifyStream = false;
+    static constexpr u32 faultTypes = 0;
 
     bool usesAos() const
     {

@@ -12,7 +12,6 @@
 #include "campaign/json.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/profiler.hh"
 
 namespace aos::campaign {
 
@@ -205,8 +204,6 @@ Campaign::run()
         cancel.cancelled() || result.count(JobStatus::kCancelled) > 0 ||
         result.count(JobStatus::kPending) > 0;
     result.totalWallMs = 1e3 * secondsSince(start, Clock::now());
-    if (prof::enabled())
-        prof::addTo(result.profile);
     return result;
 }
 
@@ -331,15 +328,6 @@ CampaignResult::writeJson(std::ostream &os, bool includeTimings) const
         reducerArray.push(std::move(j));
     }
     root.set("reducers", std::move(reducerArray));
-
-    // Host-time breakdown (AOS_PROFILE): wall clocks, so it is a
-    // timing section and never part of the canonical document.
-    if (includeTimings && !profile.scalars().empty()) {
-        JsonValue prof = JsonValue::object();
-        for (const auto &[key, stat] : profile.scalars())
-            prof.set(key, stat.value());
-        root.set("profile", std::move(prof));
-    }
 
     root.write(os);
     os << '\n';

@@ -138,14 +138,6 @@ struct CampaignResult
     std::vector<JobResult> jobs;
     std::vector<ReducerOutput> reducers; //!< Set by computeReducers().
 
-    /**
-     * Simulator (host) wall-time breakdown from common/profiler.hh.
-     * Populated only when AOS_PROFILE is enabled; serialized as a
-     * "profile" object only in timing (non-canonical) documents, so
-     * the jobs=1 vs jobs=N parity contract is unaffected.
-     */
-    StatSet profile{"profile"};
-
     bool allOk() const;
     unsigned count(JobStatus status) const;
     const JobResult *find(const std::string &jobName) const;

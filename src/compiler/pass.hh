@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/micro_op.hh"
@@ -135,18 +136,6 @@ class Pass : public ir::InstStream
     size_t _head = 0;
 };
 
-/** Pass that forwards everything unchanged (the Baseline pipeline). */
-class IdentityPass : public Pass
-{
-  public:
-    using Pass::Pass;
-
-    std::string name() const override { return "identity"; }
-
-  protected:
-    void transform(const ir::MicroOp &in) override { emit(in); }
-};
-
 /** Owns a chain of passes over a source stream. */
 class PassManager : public ir::InstStream
 {
@@ -175,6 +164,16 @@ class PassManager : public ir::InstStream
     }
 
     std::string name() const override { return "pass_manager"; }
+
+    /** The chained passes' names, the source side first. */
+    std::vector<std::string>
+    passNames() const
+    {
+        std::vector<std::string> names;
+        for (const auto &pass : _passes)
+            names.push_back(pass->name());
+        return names;
+    }
 
   private:
     ir::InstStream *_tail;

@@ -3,7 +3,6 @@
 #include "analysis/dataflow/engine.hh"
 #include "common/cancel.hh"
 #include "common/logging.hh"
-#include "common/profiler.hh"
 #include "compiler/aos_passes.hh"
 #include "compiler/pa_pass.hh"
 #include "compiler/asan_pass.hh"
@@ -31,6 +30,44 @@ mixDelta(const ir::OpMixStats &after, const ir::OpMixStats &before)
 }
 
 } // namespace
+
+Instrumentation
+instrument(ir::InstStream *source, baselines::Mechanism mech,
+           const pa::PaContext *pa, const InstrumentOptions &options)
+{
+    using baselines::Mechanism;
+    Instrumentation out{std::make_unique<compiler::PassManager>(source)};
+    compiler::PassManager &chain = *out.passes;
+    switch (mech) {
+      case Mechanism::kBaseline:
+        break;
+      case Mechanism::kWatchdog:
+        chain.add<compiler::WatchdogPass>();
+        break;
+      case Mechanism::kPa:
+        chain.add<compiler::PaPass>(compiler::PaMode::kPaOnly);
+        break;
+      case Mechanism::kAos:
+      case Mechanism::kPaAos:
+        chain.add<compiler::AosOptPass>();
+        chain.add<compiler::AosBackendPass>(pa);
+        if (mech == Mechanism::kPaAos)
+            chain.add<compiler::PaPass>(compiler::PaMode::kPaAos);
+        // After PaPass so elided regions are dropped before autm
+        // elision sees them.
+        if (options.boundsPlan) {
+            out.belide = chain.add<compiler::AosBoundsElidePass>(
+                pa->layout(), options.boundsPlan);
+        }
+        if (mech == Mechanism::kPaAos && options.autmElision)
+            out.elide = chain.add<compiler::AosElidePass>(pa->layout());
+        break;
+      case Mechanism::kAsan:
+        chain.add<compiler::AsanPass>();
+        break;
+    }
+    return out;
+}
 
 StatSet
 RunResult::toStatSet() const
@@ -120,17 +157,6 @@ RunResult::toStatSet() const
         set.scalar("belide_accesses_stripped") =
             static_cast<double>(belide.accessesStripped);
     }
-    if (verified) {
-        set.scalar("verify_total") =
-            static_cast<double>(verifyDiagnostics);
-        set.scalar("verify_suppressed") =
-            static_cast<double>(verifySuppressed);
-        for (const auto &[rule, count] : verifyRuleCounts) {
-            set.scalar(std::string("verify_") + staticcheck::ruleId(rule) +
-                       "_" + staticcheck::ruleName(rule)) =
-                static_cast<double>(count);
-        }
-    }
     return set;
 }
 
@@ -138,10 +164,6 @@ AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
                      const baselines::SystemOptions &options)
     : _profile(profile), _options(options)
 {
-    fatal_if(options.faultTypes != 0,
-             "SystemOptions::faultTypes is set, but fault injection was "
-             "removed from the simulator");
-
     // Narrow the VA when a wide PAC would not fit the 64-bit layout.
     const unsigned va_bits =
         options.pacBits <= 16 ? 46 : 62 - options.pacBits;
@@ -187,7 +209,6 @@ AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
         // (profile, measureOps, seedSalt), so abstractly interpreting a
         // regenerated duplicate is an exact model of the stream the
         // pipeline below will instrument.
-        prof::Scope scope("sys.boundsplan");
         workloads::SyntheticWorkload analysis_copy(
             profile, options.measureOps, options.seedSalt);
         analysis::dataflow::DataflowEngine engine(layout);
@@ -196,68 +217,14 @@ AosSystem::AosSystem(const workloads::WorkloadProfile &profile,
             analysis::dataflow::planBoundsElision(engine));
     }
 
-    buildPipeline();
+    _chain = instrument(_workload.get(), options.mech, _pa.get(),
+                        {.boundsPlan = _boundsPlan.get(),
+                         .autmElision = options.aosElision});
+    _counter = _chain.passes->add<compiler::OpCounter>(layout);
+    _stream = _chain.passes.get();
 }
 
 AosSystem::~AosSystem() = default;
-
-void
-AosSystem::buildPipeline()
-{
-    _pipeline = std::make_unique<compiler::PassManager>(_workload.get());
-
-    switch (_options.mech) {
-      case baselines::Mechanism::kBaseline:
-        break;
-      case baselines::Mechanism::kWatchdog:
-        _pipeline->add<compiler::WatchdogPass>();
-        break;
-      case baselines::Mechanism::kPa:
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaOnly);
-        break;
-      case baselines::Mechanism::kAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(_pa.get());
-        if (_boundsPlan) {
-            _belide = _pipeline->add<compiler::AosBoundsElidePass>(
-                _pa->layout(), _boundsPlan.get());
-        }
-        break;
-      case baselines::Mechanism::kPaAos:
-        _pipeline->add<compiler::AosOptPass>();
-        _pipeline->add<compiler::AosBackendPass>(_pa.get());
-        _pipeline->add<compiler::PaPass>(compiler::PaMode::kPaAos);
-        if (_boundsPlan) {
-            // After PaPass so elided regions are dropped before autm
-            // elision sees them; before the counter like AosElidePass.
-            _belide = _pipeline->add<compiler::AosBoundsElidePass>(
-                _pa->layout(), _boundsPlan.get());
-        }
-        if (_options.aosElision) {
-            // Before the counter so the mix reflects executed autms.
-            _elide = _pipeline->add<compiler::AosElidePass>(_pa->layout());
-        }
-        break;
-      case baselines::Mechanism::kAsan:
-        _pipeline->add<compiler::AsanPass>();
-        break;
-    }
-
-    _counter = _pipeline->add<compiler::OpCounter>(_pa->layout());
-
-    _stream = _pipeline.get();
-    if (_options.verifyStream) {
-        staticcheck::VerifierOptions verify_options;
-        verify_options.layout = _pa->layout();
-        verify_options.requireAosLowering = _options.usesAos();
-        verify_options.elisionPlan = _boundsPlan.get();
-        _verifier =
-            std::make_unique<staticcheck::StreamVerifier>(verify_options);
-        _verified = std::make_unique<staticcheck::VerifyingStream>(
-            _pipeline.get(), _verifier.get());
-        _stream = _verified.get();
-    }
-}
 
 void
 AosSystem::fastForward()
@@ -324,10 +291,7 @@ AosSystem::fastForward()
 RunResult
 AosSystem::run()
 {
-    {
-        prof::Scope scope("sys.fastforward");
-        fastForward();
-    }
+    fastForward();
 
     // Snapshot at the measurement boundary. The op mix comes from the
     // counter's own phase-mark latch: the pass pipeline runs ahead of
@@ -339,13 +303,10 @@ AosSystem::run()
     const u64 dram_writes_before = _mem->dramWrites();
     const u64 mispred_before = _core->predictor().stats().mispredicts;
 
-    {
-        prof::Scope scope("sys.measure");
-        // Run until the bounded source stream ends: every configuration
-        // executes the same program work; instrumented instructions are
-        // extra, exactly as in the paper's methodology.
-        _core->run(*_stream, 0);
-    }
+    // Run until the bounded source stream ends: every configuration
+    // executes the same program work; instrumented instructions are
+    // extra, exactly as in the paper's methodology.
+    _core->run(*_stream, 0);
 
     RunResult result;
     result.workload = _profile.name;
@@ -364,19 +325,12 @@ AosSystem::run()
         result.violations = _os->violationCount();
         result.resizes = result.hbt.resizes;
     }
-    if (_elide)
-        result.elide = _elide->stats();
+    if (_chain.elide)
+        result.elide = _chain.elide->stats();
     if (_boundsPlan)
         result.belidePlan = _boundsPlan->stats();
-    if (_belide)
-        result.belide = _belide->stats();
-    if (_verifier) {
-        result.verified = true;
-        result.verifyDiagnostics = _verifier->totalDiagnostics();
-        result.verifySuppressed = _verifier->suppressedDiagnostics();
-        result.verifyRuleCounts = _verifier->ruleCounts();
-        result.verifyFindings = _verifier->diagnostics();
-    }
+    if (_chain.belide)
+        result.belide = _chain.belide->stats();
     const u64 mispredicts =
         _core->predictor().stats().mispredicts - mispred_before;
     result.branchMpki =

@@ -5,11 +5,11 @@
  *
  * The harness assembles the whole stack:
  *
- *   SyntheticWorkload -> instrumentation passes -> OpCounter -> OoOCore
- *                                   |                             |
- *                                PaContext                  MCU <-> HBT/BWB
- *                                                                 |
- *                                                           MemorySystem
+ *   SyntheticWorkload -> instrument() -> OpCounter -> OoOCore
+ *                             |                          |
+ *                         PaContext               MCU <-> HBT/BWB
+ *                                                            |
+ *                                                      MemorySystem
  *
  * and mirrors the paper's methodology: the warmup phase (heap build-up)
  * is fast-forwarded functionally — bounds inserted, caches and branch
@@ -30,12 +30,12 @@
 #include "compiler/aos_bounds_elide_pass.hh"
 #include "compiler/aos_elide_pass.hh"
 #include "compiler/op_counter.hh"
+#include "compiler/pass.hh"
 #include "cpu/ooo_core.hh"
 #include "mcu/memory_check_unit.hh"
 #include "memsim/memory_system.hh"
 #include "os/os_model.hh"
 #include "pa/pa_context.hh"
-#include "staticcheck/stream_verifier.hh"
 #include "workloads/synthetic_workload.hh"
 
 namespace aos::core {
@@ -64,16 +64,44 @@ struct RunResult
     analysis::dataflow::PlanStats belidePlan; //!< Dataflow plan verdicts.
     compiler::BoundsElideStats belide;        //!< Ops actually dropped.
 
-    // Stream-verifier findings (options.verifyStream).
-    bool verified = false;        //!< The run was linted online.
-    u64 verifyDiagnostics = 0;    //!< Total findings (0 = clean).
-    u64 verifySuppressed = 0;     //!< Findings deduplicated or capped.
-    std::map<staticcheck::RuleId, u64> verifyRuleCounts;
-    std::vector<staticcheck::Diagnostic> verifyFindings;
-
     /** Flatten into a named stat set (gem5-style dump). */
     StatSet toStatSet() const;
 };
+
+/** Extensions layered on a mechanism's instrumentation; neither is in
+ *  the paper. */
+struct InstrumentOptions
+{
+    /**
+     * Dataflow bounds-elision plan (DESIGN.md §11); not owned. Honoured
+     * under AOS and PA+AOS, where AosBoundsElidePass follows the
+     * lowering.
+     */
+    const analysis::dataflow::ElisionPlan *boundsPlan = nullptr;
+    /** Autm elision (DESIGN.md §6.2); honoured under PA+AOS only. */
+    bool autmElision = false;
+};
+
+/** One mechanism's pass chain and handles to its elision passes. */
+struct Instrumentation
+{
+    std::unique_ptr<compiler::PassManager> passes;
+    compiler::AosElidePass *elide = nullptr;         //!< Null when off.
+    compiler::AosBoundsElidePass *belide = nullptr;  //!< Null when off.
+};
+
+/**
+ * The one map from a mechanism to its instrumentation pipeline (paper
+ * §IV-B): AOS-opt-pass then the backend pass for AOS, PA's pass after
+ * them for PA+AOS, then bounds elision and autm elision in that order.
+ * Baseline is an empty chain. @p pa signs AOS pointers (unused by the
+ * other mechanisms) and, like @p source, must outlive the chain. A
+ * caller that counts the op mix adds its OpCounter on top, after the
+ * elision passes, so it counts what executes.
+ */
+Instrumentation instrument(ir::InstStream *source, baselines::Mechanism mech,
+                           const pa::PaContext *pa,
+                           const InstrumentOptions &options = {});
 
 class AosSystem
 {
@@ -89,7 +117,6 @@ class AosSystem
     cpu::OoOCore &core() { return *_core; }
 
   private:
-    void buildPipeline();
     void fastForward();
 
     workloads::WorkloadProfile _profile;
@@ -102,13 +129,9 @@ class AosSystem
     std::unique_ptr<mcu::MemoryCheckUnit> _mcu;
     std::unique_ptr<cpu::OoOCore> _core;
     std::unique_ptr<workloads::SyntheticWorkload> _workload;
-    std::unique_ptr<compiler::PassManager> _pipeline;
-    compiler::OpCounter *_counter = nullptr;
-    compiler::AosElidePass *_elide = nullptr;
     std::unique_ptr<analysis::dataflow::ElisionPlan> _boundsPlan;
-    compiler::AosBoundsElidePass *_belide = nullptr;
-    std::unique_ptr<staticcheck::StreamVerifier> _verifier;
-    std::unique_ptr<staticcheck::VerifyingStream> _verified;
+    Instrumentation _chain;
+    compiler::OpCounter *_counter = nullptr;
     // Ops fast-forward over-pulled past the phase mark, re-served to
     // the measure loop (fastForward() splices it in front of _stream).
     std::unique_ptr<ir::CarryStream> _ffCarry;

@@ -5,7 +5,6 @@
 
 #include "common/cancel.hh"
 #include "common/logging.hh"
-#include "common/profiler.hh"
 
 namespace aos::cpu {
 
@@ -188,7 +187,6 @@ OoOCore::nextEvent(Tick now, bool can_issue) const
 const CoreStats &
 OoOCore::run(ir::InstStream &stream, u64 max_ops)
 {
-    prof::Scope scope("cpu.run");
     Tick now = _stats.cycles;
     // Ops are pulled a block at a time, never past max_ops issued in
     // this call, so every pulled op has issued by the time the stream

@@ -5,7 +5,7 @@
  * The verifier never asserts: every violated invariant becomes a
  * Diagnostic carrying the op index where it was observed, a stable
  * rule id, and a human-readable message, so tests and tools can match
- * on rules and the system harness can expose per-rule counters.
+ * on rules and harnesses can report per-rule counters.
  */
 
 #ifndef AOS_STATICCHECK_DIAGNOSTICS_HH

@@ -29,7 +29,7 @@
  *
  * Violations are collected as structured diagnostics (see
  * diagnostics.hh), never asserts, so tests can probe individual rules
- * and the system harness can export per-rule counters. Repeated
+ * and harnesses can report per-rule counters. Repeated
  * findings of one (rule, site) pair are deduplicated, every rule
  * stores at most kMaxPerRuleSites distinct sites and the verifier at
  * most kMaxDiagnostics in all; suppressed repeats are tallied and
@@ -187,41 +187,6 @@ class StreamVerifier
 
     std::vector<Diagnostic> _diags;
     std::map<RuleId, u64> _ruleCounts;
-};
-
-/**
- * InstStream adapter: forwards a source stream unchanged while feeding
- * every op through a verifier (the verify-after-instrument mode of
- * core::AosSystem). finish() is called when the source ends.
- */
-class VerifyingStream : public ir::InstStream
-{
-  public:
-    VerifyingStream(ir::InstStream *source, StreamVerifier *verifier)
-        : _source(source), _verifier(verifier)
-    {
-    }
-
-    bool
-    next(ir::MicroOp &op) override
-    {
-        if (!_source->next(op)) {
-            if (!_finished) {
-                _finished = true;
-                _verifier->finish();
-            }
-            return false;
-        }
-        _verifier->observe(op);
-        return true;
-    }
-
-    std::string name() const override { return "verifying-stream"; }
-
-  private:
-    ir::InstStream *_source;
-    StreamVerifier *_verifier;
-    bool _finished = false;
 };
 
 } // namespace aos::staticcheck

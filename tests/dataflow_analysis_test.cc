@@ -21,8 +21,7 @@
 #include "analysis/dataflow/elision_plan.hh"
 #include "analysis/dataflow/engine.hh"
 #include "compiler/aos_bounds_elide_pass.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
+#include "core/aos_system.hh"
 #include "ir/micro_op.hh"
 #include "pa/pa_context.hh"
 #include "staticcheck/obligation_checker.hh"
@@ -349,9 +348,8 @@ TEST(ChunkInstances, EveryStageSeesTheEnginesInstancesOnOmnetpp)
 
     pa::PaContext pa(kLayout);
     workloads::SyntheticWorkload source(profile, kWindow);
-    compiler::AosOptPass opt(&source);
-    compiler::AosBackendPass backend(&opt, &pa);
-    compiler::PaPass papass(&backend, compiler::PaMode::kPaAos);
+    const auto lowered = core::instrument(
+        &source, baselines::Mechanism::kPaAos, &pa);
 
     // The checker's replay of the full stream: the pass's input.
     ElisionPlan::Instances full_replay;
@@ -368,7 +366,7 @@ TEST(ChunkInstances, EveryStageSeesTheEnginesInstancesOnOmnetpp)
                           << std::hex << base << std::dec << " gen "
                           << gen;
     };
-    OpByOpStream full(&papass, [&](const MicroOp &op) {
+    OpByOpStream full(lowered.passes.get(), [&](const MicroOp &op) {
         plan.track(full_replay, op);
         if (op.kind == OpKind::kMallocMark && op.chunkBase != 0) {
             expect_instance("checker (full)", full_marks++, op.chunkBase,
@@ -726,12 +724,11 @@ class BoundsElisionPipeline : public ::testing::Test
     lower(std::vector<MicroOp> input)
     {
         ir::VectorStream source(std::move(input));
-        compiler::AosOptPass opt(&source);
-        compiler::AosBackendPass backend(&opt, &pa);
-        compiler::PaPass papass(&backend, compiler::PaMode::kPaAos);
+        const auto chain = core::instrument(
+            &source, baselines::Mechanism::kPaAos, &pa);
         std::vector<MicroOp> out;
         MicroOp next;
-        while (papass.next(next))
+        while (chain.passes->next(next))
             out.push_back(next);
         return out;
     }

@@ -19,9 +19,8 @@
 #include "common/random.hh"
 #include "compiler/aos_bounds_elide_pass.hh"
 #include "compiler/aos_elide_pass.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
 #include "core/aos_runtime.hh"
+#include "core/aos_system.hh"
 #include "staticcheck/obligation_checker.hh"
 #include "staticcheck/stream_executor.hh"
 
@@ -241,12 +240,11 @@ TEST_P(ElisionParityFuzz, ElisionNeverChangesDetections)
     // Lower through the full PA+AOS pipeline.
     pa::PaContext pa(pa::PointerLayout(16, 46));
     ir::VectorStream stream(std::move(source));
-    compiler::AosOptPass opt(&stream);
-    compiler::AosBackendPass backend(&opt, &pa);
-    compiler::PaPass pa_pass(&backend, compiler::PaMode::kPaAos);
+    const auto chain = core::instrument(
+        &stream, baselines::Mechanism::kPaAos, &pa);
     std::vector<MicroOp> full;
     MicroOp next;
-    while (pa_pass.next(next))
+    while (chain.passes->next(next))
         full.push_back(next);
 
     ir::VectorStream full_stream(full);
@@ -373,12 +371,11 @@ TEST_P(BoundsElisionParityFuzz, PlanSurvivesTheObligationChecker)
     const auto plan = analysis::dataflow::planBoundsElision(engine);
 
     ir::VectorStream stream(std::move(source));
-    compiler::AosOptPass opt(&stream);
-    compiler::AosBackendPass backend(&opt, &pa);
-    compiler::PaPass pa_pass(&backend, compiler::PaMode::kPaAos);
+    const auto chain = core::instrument(
+        &stream, baselines::Mechanism::kPaAos, &pa);
     std::vector<MicroOp> full;
     MicroOp next;
-    while (pa_pass.next(next))
+    while (chain.passes->next(next))
         full.push_back(next);
 
     ir::VectorStream full_stream(full);

@@ -1,19 +1,25 @@
 /**
  * @file
  * Tests for the instrumentation pipeline: the AOS two-phase passes
- * (Fig. 7), the PA pass (Figs. 3/13) and the Watchdog pass (Fig. 5a).
+ * (Fig. 7), the PA pass (Figs. 3/13), the Watchdog pass (Fig. 5a) and
+ * the per-mechanism chains core::instrument() builds from them.
  */
 
+#include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/dataflow/engine.hh"
 #include "compiler/aos_elide_pass.hh"
 #include "compiler/aos_passes.hh"
 #include "compiler/asan_pass.hh"
 #include "compiler/op_counter.hh"
 #include "compiler/pa_pass.hh"
 #include "compiler/watchdog_pass.hh"
+#include "core/aos_system.hh"
 #include "pa/pa_context.hh"
 #include "staticcheck/stream_verifier.hh"
 #include "workloads/synthetic_workload.hh"
@@ -21,6 +27,7 @@
 namespace aos::compiler {
 namespace {
 
+using baselines::Mechanism;
 using ir::MicroOp;
 using ir::OpKind;
 
@@ -54,15 +61,6 @@ kinds(const std::vector<MicroOp> &ops)
     return out;
 }
 
-TEST(IdentityPass, ForwardsUnchanged)
-{
-    ir::VectorStream source({op(OpKind::kIntAlu), op(OpKind::kLoad, 0x10)});
-    IdentityPass pass(&source);
-    const auto out = drain(pass);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[1].addr, 0x10u);
-}
-
 TEST(AosOptPass, InsertsIntrinsics)
 {
     ir::VectorStream source({op(OpKind::kMallocMark, 0, 0x20001000, 64),
@@ -85,9 +83,7 @@ class AosPipelineTest : public ::testing::Test
     lower(std::vector<MicroOp> input)
     {
         ir::VectorStream source(std::move(input));
-        AosOptPass opt(&source);
-        AosBackendPass backend(&opt, &pa);
-        return drain(backend);
+        return drain(*core::instrument(&source, Mechanism::kAos, &pa).passes);
     }
 
     pa::PaContext pa;
@@ -328,98 +324,161 @@ TEST(AsanPass, MallocPoisonsRedzones)
     EXPECT_GE(shadow_stores, 6u) << "redzone poison + unpoison + free";
 }
 
+TEST(Instrument, PassOrderPerMechanism)
+{
+    using Names = std::vector<std::string>;
+    pa::PaContext pa(pa::PointerLayout(16, 46));
+    const analysis::dataflow::ElisionPlan plan;
+    const auto names = [&](Mechanism mech, core::InstrumentOptions options =
+                                               {}) {
+        ir::VectorStream source(std::vector<MicroOp>{});
+        const auto chain = core::instrument(&source, mech, &pa, options);
+        // The handles point at passes of the chain, and only when run.
+        const Names got = chain.passes->passNames();
+        const auto has = [&](const char *name) {
+            return std::find(got.begin(), got.end(), name) != got.end();
+        };
+        EXPECT_EQ(chain.belide != nullptr, has("aos-bounds-elide-pass"));
+        EXPECT_EQ(chain.elide != nullptr, has("aos-elide-pass"));
+        return got;
+    };
+
+    EXPECT_EQ(names(Mechanism::kBaseline), Names{});
+    EXPECT_EQ(names(Mechanism::kWatchdog), Names{"watchdog-pass"});
+    EXPECT_EQ(names(Mechanism::kPa), Names{"pa-pass"});
+    EXPECT_EQ(names(Mechanism::kAos),
+              (Names{"aos-opt-pass", "aos-backend-pass"}));
+    EXPECT_EQ(names(Mechanism::kPaAos),
+              (Names{"aos-opt-pass", "aos-backend-pass", "pa-pass"}));
+    EXPECT_EQ(names(Mechanism::kAsan), Names{"asan-pass"});
+
+    // Bounds elision follows the lowering (after PaPass under PA+AOS);
+    // autm elision comes last, and only PA+AOS runs it.
+    EXPECT_EQ(names(Mechanism::kAos, {.boundsPlan = &plan}),
+              (Names{"aos-opt-pass", "aos-backend-pass",
+                     "aos-bounds-elide-pass"}));
+    EXPECT_EQ(names(Mechanism::kAos, {.autmElision = true}),
+              (Names{"aos-opt-pass", "aos-backend-pass"}));
+    EXPECT_EQ(names(Mechanism::kPaAos, {.boundsPlan = &plan}),
+              (Names{"aos-opt-pass", "aos-backend-pass", "pa-pass",
+                     "aos-bounds-elide-pass"}));
+    EXPECT_EQ(names(Mechanism::kPaAos, {.autmElision = true}),
+              (Names{"aos-opt-pass", "aos-backend-pass", "pa-pass",
+                     "aos-elide-pass"}));
+    EXPECT_EQ(names(Mechanism::kPaAos,
+                    {.boundsPlan = &plan, .autmElision = true}),
+              (Names{"aos-opt-pass", "aos-backend-pass", "pa-pass",
+                     "aos-bounds-elide-pass", "aos-elide-pass"}));
+}
+
 /**
  * Every production pipeline must verify clean: the StreamVerifier is
  * the machine-checked contract the figure harnesses rely on. Each test
- * drains a real SyntheticWorkload through one pipeline and expects zero
- * diagnostics (see staticcheck_test.cc for the rules firing on
- * deliberately corrupted streams).
+ * drains a real 20k-window SyntheticWorkload through one mechanism's
+ * instrument() chain and expects zero diagnostics (see
+ * staticcheck_test.cc for the rules firing on deliberately corrupted
+ * streams).
  */
 class PipelineVerifyTest : public ::testing::Test
 {
   protected:
-    enum class Pipe { kAos, kPaAos, kPaAosElided, kPa, kWatchdog, kAsan };
+    enum class Elision { kNone, kAutm, kBounds };
 
+    /**
+     * Under Elision::kBounds the plan comes from a dataflow pass over
+     * a second copy of the stream, and the verifier checks the
+     * SC15-SC18 contracts against it, as for the pa_aos_belide cells.
+     */
     std::vector<staticcheck::Diagnostic>
-    verify(Pipe pipe, const std::string &profile = "mcf")
+    verify(Mechanism mech, const std::string &profile = "mcf",
+           Elision elision = Elision::kNone)
     {
+        constexpr u64 kOps = 20000;
         pa::PaContext pa(pa::PointerLayout(16, 46));
-        workloads::SyntheticWorkload workload(
-            workloads::profileByName(profile), 20000);
-        PassManager manager(&workload);
-        switch (pipe) {
-          case Pipe::kAos:
-            manager.add<AosOptPass>();
-            manager.add<AosBackendPass>(&pa);
-            break;
-          case Pipe::kPaAos:
-          case Pipe::kPaAosElided:
-            manager.add<AosOptPass>();
-            manager.add<AosBackendPass>(&pa);
-            manager.add<PaPass>(PaMode::kPaAos);
-            if (pipe == Pipe::kPaAosElided)
-                manager.add<AosElidePass>(pa.layout());
-            break;
-          case Pipe::kPa:
-            manager.add<PaPass>(PaMode::kPaOnly);
-            break;
-          case Pipe::kWatchdog:
-            manager.add<WatchdogPass>();
-            break;
-          case Pipe::kAsan:
-            manager.add<AsanPass>();
-            break;
+        const auto &workload_profile = workloads::profileByName(profile);
+        std::optional<analysis::dataflow::ElisionPlan> plan;
+        if (elision == Elision::kBounds) {
+            workloads::SyntheticWorkload analysed(workload_profile, kOps);
+            analysis::dataflow::DataflowEngine engine(pa.layout());
+            engine.run(analysed);
+            plan = analysis::dataflow::planBoundsElision(engine);
         }
+        const analysis::dataflow::ElisionPlan *plan_ptr =
+            plan ? &*plan : nullptr;
+
+        workloads::SyntheticWorkload workload(workload_profile, kOps);
+        const auto chain = core::instrument(
+            &workload, mech, &pa,
+            {.boundsPlan = plan_ptr,
+             .autmElision = elision == Elision::kAutm});
         staticcheck::VerifierOptions options;
         options.layout = pa.layout();
         options.requireAosLowering =
-            pipe == Pipe::kAos || pipe == Pipe::kPaAos ||
-            pipe == Pipe::kPaAosElided;
-        return staticcheck::StreamVerifier::verify(manager, options);
+            mech == Mechanism::kAos || mech == Mechanism::kPaAos;
+        options.elisionPlan = plan_ptr;
+        auto diags = staticcheck::StreamVerifier::verify(*chain.passes,
+                                                         options);
+        if (chain.belide) {
+            belided = chain.belide->stats().bndstrElided;
+            planned = plan->stats().chunksElided;
+        }
+        return diags;
     }
+
+    u64 belided = 0; //!< bndstrs the last bounds-elided chain dropped.
+    u64 planned = 0; //!< Chunks its plan elided.
 };
 
 TEST_F(PipelineVerifyTest, AosPipelineIsClean)
 {
-    const auto diags = verify(Pipe::kAos);
+    const auto diags = verify(Mechanism::kAos);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
 }
 
 TEST_F(PipelineVerifyTest, PaAosPipelineIsClean)
 {
-    const auto diags = verify(Pipe::kPaAos);
+    const auto diags = verify(Mechanism::kPaAos);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
 }
 
 TEST_F(PipelineVerifyTest, ElidedPaAosPipelineIsClean)
 {
     // Elision removes autm ops but must not break any other invariant.
-    const auto diags = verify(Pipe::kPaAosElided);
+    const auto diags = verify(Mechanism::kPaAos, "mcf", Elision::kAutm);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
+}
+
+TEST_F(PipelineVerifyTest, BoundsElidedPaAosPipelineIsCleanUnderItsPlan)
+{
+    // gcc, unlike mcf, has chunks the plan elides (~99% at 20k).
+    const auto diags = verify(Mechanism::kPaAos, "gcc", Elision::kBounds);
+    EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
+    EXPECT_GT(planned, 0u);
+    EXPECT_EQ(belided, planned);
 }
 
 TEST_F(PipelineVerifyTest, PaPipelineIsClean)
 {
-    const auto diags = verify(Pipe::kPa);
+    const auto diags = verify(Mechanism::kPa);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
 }
 
 TEST_F(PipelineVerifyTest, WatchdogPipelineIsClean)
 {
-    const auto diags = verify(Pipe::kWatchdog);
+    const auto diags = verify(Mechanism::kWatchdog);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
 }
 
 TEST_F(PipelineVerifyTest, AsanRedzonePipelineIsClean)
 {
-    const auto diags = verify(Pipe::kAsan);
+    const auto diags = verify(Mechanism::kAsan);
     EXPECT_TRUE(diags.empty()) << staticcheck::toString(diags);
 }
 
 TEST_F(PipelineVerifyTest, CleanAcrossHeapHeavyProfiles)
 {
     for (const char *profile : {"omnetpp", "gcc", "astar"}) {
-        const auto diags = verify(Pipe::kPaAos, profile);
+        const auto diags = verify(Mechanism::kPaAos, profile);
         EXPECT_TRUE(diags.empty())
             << profile << ":\n" << staticcheck::toString(diags);
     }

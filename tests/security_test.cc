@@ -9,9 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "compiler/aos_elide_pass.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
 #include "core/aos_runtime.hh"
+#include "core/aos_system.hh"
 #include "staticcheck/stream_executor.hh"
 
 namespace aos::core {
@@ -282,12 +281,11 @@ class ElidedAttackTest : public ::testing::Test
     lower(std::vector<ir::MicroOp> input)
     {
         ir::VectorStream source(std::move(input));
-        compiler::AosOptPass opt(&source);
-        compiler::AosBackendPass backend(&opt, &pa);
-        compiler::PaPass pa_pass(&backend, compiler::PaMode::kPaAos);
+        const auto chain = core::instrument(
+            &source, baselines::Mechanism::kPaAos, &pa);
         std::vector<ir::MicroOp> out;
         ir::MicroOp next;
-        while (pa_pass.next(next))
+        while (chain.passes->next(next))
             out.push_back(next);
         return out;
     }

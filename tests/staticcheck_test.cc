@@ -15,8 +15,6 @@
 #include "analysis/dataflow/elision_plan.hh"
 #include "common/logging.hh"
 #include "compiler/aos_elide_pass.hh"
-#include "compiler/aos_passes.hh"
-#include "compiler/pa_pass.hh"
 #include "core/aos_system.hh"
 #include "pa/pa_context.hh"
 #include "staticcheck/stream_executor.hh"
@@ -335,22 +333,12 @@ TEST(StreamVerifier, RepeatedSitesAreDedupedButStillCounted)
     EXPECT_EQ(verifier.totalDiagnostics(), 20u);
     EXPECT_EQ(verifier.suppressedDiagnostics(), 18u);
     EXPECT_EQ(verifier.ruleCounts().at(RuleId::kMemMissingAddr), 10u);
+    EXPECT_EQ(verifier.ruleCounts().at(RuleId::kMemMissingSize), 10u);
     bool summarized = false;
     for (const auto &d : verifier.diagnostics())
         if (d.message.find("suppressed 9") != std::string::npos)
             summarized = true;
     EXPECT_TRUE(summarized) << toString(verifier.diagnostics());
-
-    // A verified run exports the counters under verify_* names.
-    core::RunResult run;
-    run.verified = true;
-    run.verifyDiagnostics = verifier.totalDiagnostics();
-    run.verifySuppressed = verifier.suppressedDiagnostics();
-    run.verifyRuleCounts = verifier.ruleCounts();
-    const StatSet set = run.toStatSet();
-    EXPECT_EQ(set.value("verify_total"), 20.0);
-    EXPECT_EQ(set.value("verify_suppressed"), 18.0);
-    EXPECT_EQ(set.value("verify_SC10_mem-missing-addr"), 10.0);
 }
 
 TEST(StreamVerifier, PerRuleSiteCapBoundsTheFlood)
@@ -384,11 +372,11 @@ class CorruptedPipelineTest : public ::testing::Test
     lowerAos(std::vector<MicroOp> input)
     {
         ir::VectorStream source(std::move(input));
-        compiler::AosOptPass opt(&source);
-        compiler::AosBackendPass backend(&opt, &pa);
+        const auto chain = core::instrument(
+            &source, baselines::Mechanism::kAos, &pa);
         std::vector<MicroOp> out;
         MicroOp next;
-        while (backend.next(next))
+        while (chain.passes->next(next))
             out.push_back(next);
         return out;
     }
@@ -536,7 +524,7 @@ TEST(StreamExecutor, ElisionPreservesTheDetectionProfile)
     EXPECT_LT(reduced_stats.autms, full_stats.autms);
 }
 
-// --- AosSystem integration: verify-after-instrument + elision. ---
+// --- AosSystem integration: autm elision. ---
 
 class SystemStaticcheckTest : public ::testing::Test
 {
@@ -552,25 +540,6 @@ class SystemStaticcheckTest : public ::testing::Test
     }
 };
 
-TEST_F(SystemStaticcheckTest, VerifiedRunsAreCleanForEveryMechanism)
-{
-    for (baselines::Mechanism mech :
-         {baselines::Mechanism::kWatchdog, baselines::Mechanism::kPa,
-          baselines::Mechanism::kAos, baselines::Mechanism::kPaAos,
-          baselines::Mechanism::kAsan}) {
-        baselines::SystemOptions options;
-        options.mech = mech;
-        options.measureOps = 20000;
-        options.verifyStream = true;
-        const auto r = runOne(options);
-        EXPECT_TRUE(r.verified);
-        EXPECT_EQ(r.verifyDiagnostics, 0u)
-            << baselines::mechanismName(mech) << ":\n"
-            << toString(r.verifyFindings);
-        EXPECT_TRUE(r.toStatSet().has("verify_total"));
-    }
-}
-
 TEST_F(SystemStaticcheckTest, ElisionReducesDynamicAutms)
 {
     baselines::SystemOptions options;
@@ -579,7 +548,6 @@ TEST_F(SystemStaticcheckTest, ElisionReducesDynamicAutms)
     const auto base = runOne(options);
 
     options.aosElision = true;
-    options.verifyStream = true;
     const auto elided = runOne(options);
 
     ASSERT_GT(base.mix.autms, 0u);
@@ -587,9 +555,8 @@ TEST_F(SystemStaticcheckTest, ElisionReducesDynamicAutms)
     EXPECT_GT(elided.elide.autmElided, 0u);
     EXPECT_EQ(elided.elide.autmSeen,
               elided.elide.autmElided + elided.elide.autmKept);
-    // Elision must not corrupt the stream or flag violations.
-    EXPECT_EQ(elided.verifyDiagnostics, 0u)
-        << toString(elided.verifyFindings);
+    // Elision must not flag violations (PipelineVerifyTest lints the
+    // elided stream).
     EXPECT_EQ(elided.violations, base.violations);
     // The elision stats surface in the flattened dump.
     const auto set = elided.toStatSet();
